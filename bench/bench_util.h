@@ -1,6 +1,7 @@
-// Shared harness for the paper-reproduction benches, now a thin veneer over
-// the Scenario/Campaign API: describe the run as a ScenarioSpec, execute it
-// with exp::run_scenario, and surface the metrics the figures report.
+// Shared harness for the paper-reproduction benches, a thin veneer over the
+// Scenario/Campaign API: describe the run as a ScenarioSpec and execute it
+// with exp::run_scenario. A failed run reports verified == dcls_match ==
+// false, so benches read the ScenarioResult verdicts directly.
 #pragma once
 
 #include <string>
@@ -9,34 +10,10 @@
 
 namespace higpu::bench {
 
-struct RunResult {
-  /// GPU cycles consumed by kernel execution (the Fig. 4 metric).
-  Cycle kernel_cycles = 0;
-  /// End-to-end wall-clock on the modelled platform (the Fig. 5 metric).
-  NanoSec elapsed_ns = 0;
-  /// Output matched the CPU reference.
-  bool verified = false;
-  /// Redundant copies compared equal (vacuously true in baseline mode).
-  bool outputs_matched = false;
-  /// Block-level diversity across all redundant pairs.
-  core::DiversityReport diversity;
-};
-
-inline RunResult from_scenario(const exp::ScenarioResult& r) {
-  RunResult out;
-  out.kernel_cycles = r.kernel_cycles;
-  out.elapsed_ns = r.elapsed_ns;
-  out.verified = r.ok && r.verified;
-  out.outputs_matched = r.ok && r.dcls_match;
-  out.diversity = r.diversity;
-  return out;
-}
-
-inline RunResult run_workload(const std::string& name, workloads::Scale scale,
-                              sched::Policy policy,
-                              const core::RedundancySpec& redundancy,
-                              u64 seed = 2019,
-                              const sim::GpuParams& gpu_params = {}) {
+inline exp::ScenarioResult run_workload(
+    const std::string& name, workloads::Scale scale, sched::Policy policy,
+    const core::RedundancySpec& redundancy, u64 seed = 2019,
+    const sim::GpuParams& gpu_params = {}) {
   exp::ScenarioSpec spec;
   spec.workload = name;
   spec.scale = scale;
@@ -44,14 +21,13 @@ inline RunResult run_workload(const std::string& name, workloads::Scale scale,
   spec.policy = policy;
   spec.redundancy = redundancy;
   spec.gpu = gpu_params;
-  return from_scenario(exp::run_scenario(spec));
+  return exp::run_scenario(spec);
 }
 
 /// Classic baseline/DCLS shorthand used by the Fig. 4/5 benches.
-inline RunResult run_workload(const std::string& name, workloads::Scale scale,
-                              sched::Policy policy, bool redundant,
-                              u64 seed = 2019,
-                              const sim::GpuParams& gpu_params = {}) {
+inline exp::ScenarioResult run_workload(
+    const std::string& name, workloads::Scale scale, sched::Policy policy,
+    bool redundant, u64 seed = 2019, const sim::GpuParams& gpu_params = {}) {
   return run_workload(name, scale, policy,
                       redundant ? core::RedundancySpec::dcls()
                                 : core::RedundancySpec::baseline(),

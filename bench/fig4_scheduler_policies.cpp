@@ -46,8 +46,8 @@ int main() {
     }
 
     const bool all_ok = def.verified && half.verified && srrs.verified &&
-                        def.outputs_matched && half.outputs_matched &&
-                        srrs.outputs_matched;
+                        def.dcls_match && half.dcls_match &&
+                        srrs.dcls_match;
     const bool diverse = srrs.diversity.spatially_diverse() &&
                          srrs.diversity.temporally_disjoint();
     table.add_row({name, std::to_string(def.kernel_cycles),

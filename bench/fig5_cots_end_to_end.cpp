@@ -39,7 +39,7 @@ int main() {
     table.add_row({name, TextTable::fmt(ms(base.elapsed_ns), 3),
                    TextTable::fmt(ms(red.elapsed_ns), 3),
                    TextTable::fmt_ratio(ratio), TextTable::fmt(kshare, 2),
-                   (base.verified && red.verified && red.outputs_matched)
+                   (base.verified && red.verified && red.dcls_match)
                        ? "yes"
                        : "NO"});
   }

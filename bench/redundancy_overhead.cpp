@@ -61,15 +61,15 @@ int main(int argc, char** argv) {
   bool all_ok = true;
   for (size_t i = 0; i < names.size(); ++i) {
     const std::string& name = names[i];
-    const bench::RunResult base = bench::run_workload(
+    const exp::ScenarioResult base = bench::run_workload(
         name, scale, sched::Policy::kSrrs, RedundancySpec::baseline());
     bool ok = base.verified;
     std::vector<double> slowdown;
     std::string mode_json;
     for (size_t m = 0; m < modes.size(); ++m) {
-      const bench::RunResult r = bench::run_workload(
+      const exp::ScenarioResult r = bench::run_workload(
           name, scale, sched::Policy::kSrrs, modes[m].spec);
-      ok = ok && r.verified && r.outputs_matched;
+      ok = ok && r.verified && r.dcls_match;
       slowdown.push_back(static_cast<double>(r.elapsed_ns) /
                          static_cast<double>(base.elapsed_ns));
       char buf[128];

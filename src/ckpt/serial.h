@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace higpu::ckpt {
@@ -86,6 +87,27 @@ class Writer {
   std::string open_name_;
   u64 open_record_size_ = 0;
 };
+
+/// Binary encoding of a visited record (common/fields.h), used for the
+/// higpu.wire/1 spec payload and the snapshot parameter fingerprint: enums
+/// as one byte, 32-bit integers as four, other integers as eight, floats
+/// as f64.
+template <Visited R>
+void put_fields(Writer& w, const R& rec) {
+  visit_fields(rec, [&w](const char*, const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (Visited<T>) put_fields(w, v);
+    else if constexpr (CountedEnum<T>) w.put8(static_cast<u8>(v));
+    else if constexpr (std::is_integral_v<T>)
+      sizeof(T) == 4 ? w.put32(static_cast<u32>(v))
+                     : w.put64(static_cast<u64>(v));
+    else if constexpr (std::is_floating_point_v<T>)
+      w.putf64(static_cast<double>(v));
+    else if constexpr (std::is_same_v<T, std::string>) w.put_string(v);
+    else if constexpr (std::is_same_v<T, std::vector<u32>>) w.put_u32_vec(v);
+    else static_assert(kNoCodec<T>, "no binary encoding for this field type");
+  });
+}
 
 /// Thrown on any structural mismatch while reading a snapshot back.
 class SnapshotError : public std::runtime_error {

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "ckpt/serial.h"
+#include "common/fields.h"
 #include "common/types.h"
 #include "isa/program.h"
 
@@ -44,6 +45,7 @@ struct CheckpointPolicy {
     kPreKernel,  // at every synchronize() that has pending kernel work,
                  // before any of it executes (the rollback-recovery anchor)
   };
+  friend constexpr u32 enum_count(Kind) { return u32(Kind::kPreKernel) + 1; }
 
   Kind kind = Kind::kNone;
   u64 interval_cycles = 0;
@@ -64,6 +66,12 @@ struct CheckpointPolicy {
   bool operator==(const CheckpointPolicy& other) const = default;
 };
 
+template <FieldsOf<CheckpointPolicy> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("kind", r.kind);
+  f("interval_cycles", r.interval_cycles);
+}
+
 class Snapshot {
  public:
   /// Bump on any change to the blob layout.
@@ -71,7 +79,8 @@ class Snapshot {
   ///     replacement for the NDEBUG-only shared-memory bounds assert).
   /// v3: SmCore serializes the four cycle-attribution counters
   ///     (cycles_issued / cycles_stall_{scoreboard,barrier,structural}).
-  static constexpr u32 kVersion = 3;
+  /// v4: the meta section's parameter fingerprint hashes put_fields.
+  static constexpr u32 kVersion = 4;
   static constexpr u64 kMagic = 0x48474355434B5054ull;  // "HGPUCKPT"
 
   // ---- Capture metadata (duplicated from the blob for cheap access) -------

@@ -82,11 +82,6 @@ class JsonWriter {
   /// Emit a double with enough digits (%.17g) to round-trip bit-exactly
   /// through a parse, instead of the human-friendly %.6g of value(double).
   void value_exact(double v);
-  template <typename T>
-  void field_exact(const std::string& name, const T& v) {
-    key(name);
-    value_exact(v);
-  }
 
   template <typename T>
   void field(const std::string& name, const T& v) {

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/fields.h"
 #include "sim/kernel.h"
 #include "sim/trace.h"
 
@@ -38,6 +39,14 @@ struct DiversityReport {
 
   bool operator==(const DiversityReport& other) const = default;
 };
+
+template <FieldsOf<DiversityReport> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("blocks_checked", r.blocks_checked);
+  f("same_sm", r.same_sm);
+  f("same_sm_time_overlap", r.same_sm_time_overlap);
+  f("time_overlap", r.time_overlap);
+}
 
 /// Analyze one redundant pair from the GPU's block records.
 DiversityReport analyze_block_diversity(const std::vector<sim::BlockRecord>& records,

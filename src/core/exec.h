@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "runtime/device.h"
 #include "safety/asil.h"
 #include "sched/policies.h"
@@ -43,6 +44,9 @@ struct RedundancySpec {
     kMajorityVote,  // per-word strict majority wins; dissenters out-voted
     kTolerance,     // float compare within `tolerance` (abs + rel)
   };
+  friend constexpr u32 enum_count(Compare) {
+    return u32(Compare::kTolerance) + 1;
+  }
   enum class Recovery {
     kNone,     // report only
     kRetry,    // detect -> re-execute (up to max_retries) within the FTTI
@@ -51,6 +55,9 @@ struct RedundancySpec {
                // cheaper than kRetry exactly when the FTTI is tightest
     kDegrade,  // detect -> flag degraded-mode transition, no re-execution
   };
+  friend constexpr u32 enum_count(Recovery) {
+    return u32(Recovery::kDegrade) + 1;
+  }
 
   /// Sentinel for "pick a diverse start automatically".
   static constexpr u32 kAuto = 0xFFFFFFFF;
@@ -116,6 +123,17 @@ struct RedundancySpec {
 
   bool operator==(const RedundancySpec& other) const = default;
 };
+
+template <FieldsOf<RedundancySpec> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("n_copies", r.n_copies);
+  f("compare", r.compare);
+  f("tolerance", r.tolerance);
+  f("srrs_starts", r.srrs_starts);
+  f("recovery", r.recovery);
+  f("max_retries", r.max_retries);
+  f("ftti_ns", r.ftti_ns);
+}
 
 const char* compare_name(RedundancySpec::Compare c);
 const char* recovery_name(RedundancySpec::Recovery r);

@@ -85,10 +85,9 @@ bool recv_frame(int fd, Frame* out);
 
 // ---- Payload serialization -------------------------------------------------
 
-/// Full field-by-field ScenarioSpec serialization: the worker reconstructs
-/// the exact experiment — workload/scale/seed, every GPU, memory and
-/// platform parameter, policy, the complete RedundancySpec, fault plan and
-/// checkpoint policy — so a scenario runs bit-identically in any process.
+/// Full ScenarioSpec serialization (ckpt::put_fields): the worker
+/// reconstructs the exact experiment, so a scenario runs bit-identically in
+/// any process. get_spec throws WireError on an out-of-range enum value.
 void put_spec(ckpt::Writer& w, const exp::ScenarioSpec& spec);
 exp::ScenarioSpec get_spec(ckpt::Reader& r);
 

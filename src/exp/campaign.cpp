@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/table.h"
+#include "exp/result_io.h"
 #include "exp/units.h"
 
 namespace higpu::exp {
@@ -23,25 +24,13 @@ double seconds_since(Clock::time_point t0) {
 
 bool ScenarioResult::deterministic_fields_equal(
     const ScenarioResult& other) const {
-  return index == other.index && label == other.label &&
-         workload == other.workload && ok == other.ok &&
-         error == other.error && verified == other.verified &&
-         dcls_match == other.dcls_match &&
-         majority_ok == other.majority_ok &&
-         comparisons == other.comparisons &&
-         mismatches == other.mismatches &&
-         faulty_copy == other.faulty_copy && n_copies == other.n_copies &&
-         attempts == other.attempts && recovered == other.recovered &&
-         degraded == other.degraded && ftti_met == other.ftti_met &&
-         response_ns == other.response_ns &&
-         achieved_asil == other.achieved_asil &&
-         kernel_cycles == other.kernel_cycles &&
-         elapsed_ns == other.elapsed_ns && ff_cycles == other.ff_cycles &&
-         diversity == other.diversity && stats == other.stats &&
-         sm_profile == other.sm_profile &&
-         fault_active == other.fault_active &&
-         corruptions == other.corruptions &&
-         diverted_blocks == other.diverted_blocks && outcome == other.outcome;
+  // Compare copies with the diagnosis and host-timing fields cleared.
+  auto deterministic = [](ScenarioResult r) {
+    r.divergence.clear();
+    r.wall_sec = r.sim_wall_sec = 0.0;
+    return r;
+  };
+  return deterministic(*this) == deterministic(other);
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec, u32 index,
@@ -143,6 +132,34 @@ double block_coverage_pct(const StatSet& s) {
   return total > 0 ? 100.0 * hits / total : 0.0;
 }
 
+/// (column, cell) pairs of one CSV row: every scalar field of the result in
+/// visitor order (nested records, vectors and the StatSet are skipped),
+/// then `passed` and the selected stat columns.
+std::vector<std::pair<std::string, std::string>> csv_row(
+    const ScenarioResult& r) {
+  std::vector<std::pair<std::string, std::string>> row;
+  visit_fields(r, [&row](const char* name, const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (CountedEnum<T>)
+      row.emplace_back(name, enum_name(v));
+    else if constexpr (std::is_same_v<T, bool>)
+      row.emplace_back(name, v ? "true" : "false");
+    else if constexpr (std::is_same_v<T, std::string>)
+      row.emplace_back(name, v);
+    else if constexpr (std::is_arithmetic_v<T>)
+      row.emplace_back(name, std::to_string(v));
+  });
+  row.emplace_back("passed", r.passed() ? "true" : "false");
+  for (const char* stat :
+       {"instructions", "block_exec_hits", "block_fallback_exits",
+        "cycles_issued", "cycles_stall_scoreboard", "cycles_stall_barrier",
+        "cycles_stall_structural"})
+    row.emplace_back(stat, std::to_string(r.stats.get(stat)));
+  row.emplace_back("block_coverage_pct",
+                   std::to_string(block_coverage_pct(r.stats)));
+  return row;
+}
+
 }  // namespace
 
 u32 CampaignResult::failed() const {
@@ -157,7 +174,7 @@ bool CampaignResult::all_passed() const { return failed() == 0; }
 std::string CampaignResult::to_json() const {
   JsonWriter jw;
   jw.begin_object();
-  jw.field("schema", std::string("higpu.campaign/1"));
+  jw.field("schema", std::string("higpu.campaign/2"));
   jw.field("scenarios", static_cast<u64>(results.size()));
   jw.field("jobs", jobs);
   jw.field("wall_sec", wall_sec);
@@ -167,59 +184,9 @@ std::string CampaignResult::to_json() const {
   jw.begin_array();
   for (const ScenarioResult& r : results) {
     jw.begin_object();
-    jw.field("index", r.index);
-    jw.field("label", r.label);
-    jw.field("workload", r.workload);
-    jw.field("ok", r.ok);
-    if (!r.ok) jw.field("error", r.error);
+    put_result_fields(jw, r);
     jw.field("passed", r.passed());
-    jw.field("verified", r.verified);
-    jw.field("dcls_match", r.dcls_match);
-    jw.field("majority_ok", r.majority_ok);
-    jw.field("comparisons", r.comparisons);
-    jw.field("mismatches", r.mismatches);
-    jw.field("n_copies", r.n_copies);
-    jw.field("attempts", r.attempts);
-    jw.field("recovered", r.recovered);
-    jw.field("degraded", r.degraded);
-    jw.field("ftti_met", r.ftti_met);
-    jw.field("response_ns", r.response_ns);
-    jw.field("achieved_asil", std::string(safety::asil_name(r.achieved_asil)));
-    if (r.faulty_copy >= 0) jw.field("faulty_copy", r.faulty_copy);
-    jw.field("kernel_cycles", r.kernel_cycles);
-    jw.field("elapsed_ns", r.elapsed_ns);
-    jw.field("fault_active", r.fault_active);
-    if (r.fault_active) {
-      jw.field("corruptions", r.corruptions);
-      jw.field("diverted_blocks", r.diverted_blocks);
-      jw.field("fault_outcome", std::string(fault::outcome_name(r.outcome)));
-    }
-    if (!r.divergence.empty()) jw.field("divergence", r.divergence);
-    jw.key("diversity");
-    jw.begin_object();
-    jw.field("blocks_checked", r.diversity.blocks_checked);
-    jw.field("same_sm", r.diversity.same_sm);
-    jw.field("time_overlap", r.diversity.time_overlap);
-    jw.end_object();
-    jw.key("stats");
-    jw.begin_object();
-    for (const auto& [name, value] : r.stats.entries()) jw.field(name, value);
-    jw.end_object();
-    jw.key("sm_profile");
-    jw.begin_array();
-    for (const obs::SmCycles& c : r.sm_profile) {
-      jw.begin_object();
-      jw.field("issued", c.issued);
-      jw.field("scoreboard", c.scoreboard);
-      jw.field("barrier", c.barrier);
-      jw.field("structural", c.structural);
-      jw.field("idle", c.idle);
-      jw.end_object();
-    }
-    jw.end_array();
-    if (r.stats.get("block_exec_hits") + r.stats.get("block_fallback_exits") > 0)
-      jw.field("block_superop_coverage_pct", block_coverage_pct(r.stats));
-    jw.field("wall_sec", r.wall_sec);
+    jw.field("block_superop_coverage_pct", block_coverage_pct(r.stats));
     jw.end_object();
   }
   jw.end_array();
@@ -228,39 +195,14 @@ std::string CampaignResult::to_json() const {
 }
 
 std::string CampaignResult::to_csv() const {
-  TextTable table({"index", "label", "workload", "ok", "passed", "verified",
-                   "dcls_match", "comparisons", "mismatches", "n_copies",
-                   "attempts", "asil", "ftti_met", "kernel_cycles",
-                   "elapsed_ns", "fault", "corruptions", "fault_outcome",
-                   "divergence", "instructions", "block_exec_hits",
-                   "block_fallback_exits", "block_coverage_pct",
-                   "cycles_issued", "cycles_stall_scoreboard",
-                   "cycles_stall_barrier", "cycles_stall_structural",
-                   "error"});
+  std::vector<std::string> header;
+  for (auto& [column, cell] : csv_row(ScenarioResult{}))
+    header.push_back(std::move(column));
+  TextTable table(std::move(header));
   for (const ScenarioResult& r : results) {
-    table.add_row({std::to_string(r.index), r.label, r.workload,
-                   r.ok ? "true" : "false", r.passed() ? "true" : "false",
-                   r.verified ? "true" : "false",
-                   r.dcls_match ? "true" : "false",
-                   std::to_string(r.comparisons), std::to_string(r.mismatches),
-                   std::to_string(r.n_copies), std::to_string(r.attempts),
-                   safety::asil_name(r.achieved_asil),
-                   r.ftti_met ? "true" : "false",
-                   std::to_string(r.kernel_cycles),
-                   std::to_string(r.elapsed_ns),
-                   r.fault_active ? "true" : "false",
-                   std::to_string(r.corruptions),
-                   r.fault_active ? fault::outcome_name(r.outcome) : "",
-                   r.divergence,
-                   std::to_string(r.stats.get("instructions")),
-                   std::to_string(r.stats.get("block_exec_hits")),
-                   std::to_string(r.stats.get("block_fallback_exits")),
-                   std::to_string(block_coverage_pct(r.stats)),
-                   std::to_string(r.stats.get("cycles_issued")),
-                   std::to_string(r.stats.get("cycles_stall_scoreboard")),
-                   std::to_string(r.stats.get("cycles_stall_barrier")),
-                   std::to_string(r.stats.get("cycles_stall_structural")),
-                   r.error});
+    std::vector<std::string> cells;
+    for (auto& [column, cell] : csv_row(r)) cells.push_back(std::move(cell));
+    table.add_row(std::move(cells));
   }
   return table.render_csv();
 }

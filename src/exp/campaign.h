@@ -98,10 +98,49 @@ struct ScenarioResult {
     return verified && dcls_match;
   }
 
-  /// Bit-exact equality of every deterministic field — the campaign
-  /// determinism guarantee checked by tests/campaign_test.cpp.
+  /// Bit-exact equality of all but the diagnosis and host-timing fields —
+  /// the campaign determinism guarantee checked by tests/campaign_test.cpp.
   bool deterministic_fields_equal(const ScenarioResult& other) const;
+
+  bool operator==(const ScenarioResult& other) const = default;
 };
+
+/// ScenarioResult field list (see common/fields.h); the order is the
+/// higpu.campaign.jsonl/1 record layout.
+template <FieldsOf<ScenarioResult> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("index", r.index);
+  f("label", r.label);
+  f("workload", r.workload);
+  f("ok", r.ok);
+  f("error", r.error);
+  f("verified", r.verified);
+  f("dcls_match", r.dcls_match);
+  f("majority_ok", r.majority_ok);
+  f("comparisons", r.comparisons);
+  f("mismatches", r.mismatches);
+  f("faulty_copy", r.faulty_copy);
+  f("n_copies", r.n_copies);
+  f("attempts", r.attempts);
+  f("recovered", r.recovered);
+  f("degraded", r.degraded);
+  f("ftti_met", r.ftti_met);
+  f("response_ns", r.response_ns);
+  f("achieved_asil", r.achieved_asil);
+  f("kernel_cycles", r.kernel_cycles);
+  f("elapsed_ns", r.elapsed_ns);
+  f("ff_cycles", r.ff_cycles);
+  f("diversity", r.diversity);
+  f("stats", r.stats);
+  f("sm_profile", r.sm_profile);
+  f("fault_active", r.fault_active);
+  f("corruptions", r.corruptions);
+  f("diverted_blocks", r.diverted_blocks);
+  f("outcome", r.outcome);
+  f("divergence", r.divergence);
+  f("wall_sec", r.wall_sec);
+  f("sim_wall_sec", r.sim_wall_sec);
+}
 
 /// Optional inspection hook: called with the live device, workload and
 /// session, for callers that need more than a ScenarioResult (kernel

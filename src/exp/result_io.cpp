@@ -1,153 +1,103 @@
 #include "exp/result_io.h"
 
 #include "common/jsonl.h"
-#include "common/table.h"
 
 namespace higpu::exp {
 
 namespace {
 
-safety::Asil parse_asil(const std::string& s) {
-  for (safety::Asil a : {safety::Asil::kQM, safety::Asil::kA, safety::Asil::kB,
-                         safety::Asil::kC, safety::Asil::kD})
-    if (s == safety::asil_name(a)) return a;
-  throw std::runtime_error("unknown ASIL name '" + s + "'");
+template <class T>
+void put_json(JsonWriter& jw, const T& v);
+
+template <Visited R>
+void put_json_fields(JsonWriter& jw, const R& rec) {
+  visit_fields(rec, [&jw](const char* name, const auto& v) {
+    jw.key(name);
+    put_json(jw, v);
+  });
 }
 
-fault::Outcome parse_outcome(const std::string& s) {
-  for (fault::Outcome o : {fault::Outcome::kMasked, fault::Outcome::kDetected,
-                           fault::Outcome::kSdc})
-    if (s == fault::outcome_name(o)) return o;
-  throw std::runtime_error("unknown fault outcome '" + s + "'");
+/// One JSON value per field type: records as objects, enums by name,
+/// floating point at round-trip precision, StatSets as counter objects.
+template <class T>
+void put_json(JsonWriter& jw, const T& v) {
+  if constexpr (Visited<T>) {
+    jw.begin_object();
+    put_json_fields(jw, v);
+    jw.end_object();
+  } else if constexpr (kIsVector<T>) {
+    jw.begin_array();
+    for (const auto& e : v) put_json(jw, e);
+    jw.end_array();
+  } else if constexpr (std::is_same_v<T, StatSet>) {
+    jw.begin_object();
+    for (const auto& [name, value] : v.entries()) jw.field(name, value);
+    jw.end_object();
+  } else if constexpr (CountedEnum<T>) {
+    jw.value(enum_name(v));
+  } else if constexpr (std::is_floating_point_v<T>) {
+    jw.value_exact(static_cast<double>(v));
+  } else {
+    jw.value(v);  // bool, string, integers
+  }
+}
+
+/// Inverse of put_json for the members of object `obj`; every field is
+/// required (JsonValue::at throws naming a missing one).
+template <Visited R>
+void get_json(const JsonValue& obj, R& rec) {
+  visit_fields(rec, [&obj](const std::string& name, auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    if constexpr (Visited<T>) {
+      get_json(obj.at(name), v);
+    } else if constexpr (kIsVector<T>) {
+      const JsonValue& a = obj.at(name);
+      if (a.kind != JsonValue::Kind::kArray)
+        throw JsonError("field '" + name + "' is not an array");
+      for (const JsonValue& e : a.array) get_json(e, v.emplace_back());
+    } else if constexpr (std::is_same_v<T, StatSet>) {
+      const JsonValue& stats = obj.at(name);
+      if (stats.kind != JsonValue::Kind::kObject)
+        throw JsonError("field '" + name + "' is not an object");
+      for (const auto& [counter, c] : stats.object)
+        v.set(counter, stats.get_u64(counter));
+    } else if constexpr (CountedEnum<T>) {
+      const std::string s = obj.get_string(name);
+      u32 i = 0;
+      while (i < enum_count(T{}) && s != enum_name(static_cast<T>(i))) ++i;
+      if (i == enum_count(T{}))
+        throw JsonError("field '" + name + "' has unknown value '" + s + "'");
+      v = static_cast<T>(i);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      v = obj.get_bool(name);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = obj.get_string(name);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      v = static_cast<T>(obj.get_double(name));
+    } else if constexpr (std::is_signed_v<T>) {
+      v = static_cast<T>(obj.get_i64(name));
+    } else {
+      static_assert(std::is_unsigned_v<T>, "no JSON decoding for this type");
+      v = static_cast<T>(obj.get_u64(name));
+    }
+  });
 }
 
 }  // namespace
 
+void put_result_fields(JsonWriter& jw, const ScenarioResult& r) {
+  put_json_fields(jw, r);
+}
+
 std::string result_to_jsonl(const ScenarioResult& r) {
   JsonWriter jw = JsonWriter::compact();
-  jw.begin_object();
-  jw.field("index", r.index);
-  jw.field("label", r.label);
-  jw.field("workload", r.workload);
-  jw.field("ok", r.ok);
-  jw.field("error", r.error);
-  jw.field("verified", r.verified);
-  jw.field("dcls_match", r.dcls_match);
-  jw.field("majority_ok", r.majority_ok);
-  jw.field("comparisons", r.comparisons);
-  jw.field("mismatches", r.mismatches);
-  jw.field("faulty_copy", r.faulty_copy);
-  jw.field("n_copies", r.n_copies);
-  jw.field("attempts", r.attempts);
-  jw.field("recovered", r.recovered);
-  jw.field("degraded", r.degraded);
-  jw.field("ftti_met", r.ftti_met);
-  jw.field("response_ns", r.response_ns);
-  jw.field("achieved_asil", std::string(safety::asil_name(r.achieved_asil)));
-  jw.field("kernel_cycles", r.kernel_cycles);
-  jw.field("elapsed_ns", r.elapsed_ns);
-  jw.field("ff_cycles", r.ff_cycles);
-  jw.key("diversity");
-  jw.begin_object();
-  jw.field("blocks_checked", r.diversity.blocks_checked);
-  jw.field("same_sm", r.diversity.same_sm);
-  jw.field("same_sm_time_overlap", r.diversity.same_sm_time_overlap);
-  jw.field("time_overlap", r.diversity.time_overlap);
-  jw.end_object();
-  jw.key("stats");
-  jw.begin_object();
-  for (const auto& [name, value] : r.stats.entries()) jw.field(name, value);
-  jw.end_object();
-  jw.key("sm_profile");
-  jw.begin_array();
-  for (const obs::SmCycles& c : r.sm_profile) {
-    jw.begin_object();
-    jw.field("issued", c.issued);
-    jw.field("scoreboard", c.scoreboard);
-    jw.field("barrier", c.barrier);
-    jw.field("structural", c.structural);
-    jw.field("idle", c.idle);
-    jw.end_object();
-  }
-  jw.end_array();
-  jw.field("fault_active", r.fault_active);
-  jw.field("corruptions", r.corruptions);
-  jw.field("diverted_blocks", r.diverted_blocks);
-  jw.field("outcome", std::string(fault::outcome_name(r.outcome)));
-  jw.field("divergence", r.divergence);
-  // Wall-clock fields: non-deterministic, excluded from
-  // deterministic_fields_equal, emitted at full precision so a resumed
-  // campaign reports the values that were measured.
-  jw.field_exact("wall_sec", r.wall_sec);
-  jw.field_exact("sim_wall_sec", r.sim_wall_sec);
-  jw.end_object();
+  put_json(jw, r);
   return jw.str();
 }
 
 ScenarioResult result_from_jsonl(const std::string& line) {
-  const JsonValue v = parse_json(line);
-  if (v.kind != JsonValue::Kind::kObject)
-    throw std::runtime_error("result record is not a JSON object");
-
   ScenarioResult r;
-  r.index = static_cast<u32>(v.get_u64("index"));
-  r.label = v.get_string("label");
-  r.workload = v.get_string("workload");
-  r.ok = v.get_bool("ok");
-  r.error = v.get_string("error");
-  r.verified = v.get_bool("verified");
-  r.dcls_match = v.get_bool("dcls_match");
-  r.majority_ok = v.get_bool("majority_ok");
-  r.comparisons = static_cast<u32>(v.get_u64("comparisons"));
-  r.mismatches = static_cast<u32>(v.get_u64("mismatches"));
-  r.faulty_copy = static_cast<i32>(v.get_i64("faulty_copy"));
-  r.n_copies = static_cast<u32>(v.get_u64("n_copies"));
-  r.attempts = static_cast<u32>(v.get_u64("attempts"));
-  r.recovered = v.get_bool("recovered");
-  r.degraded = v.get_bool("degraded");
-  r.ftti_met = v.get_bool("ftti_met");
-  r.response_ns = v.get_u64("response_ns");
-  r.achieved_asil = parse_asil(v.get_string("achieved_asil"));
-  r.kernel_cycles = v.get_u64("kernel_cycles");
-  r.elapsed_ns = v.get_u64("elapsed_ns");
-  r.ff_cycles = v.get_u64("ff_cycles");
-  const JsonValue& div = v.at("diversity");
-  r.diversity.blocks_checked = static_cast<u32>(div.get_u64("blocks_checked"));
-  r.diversity.same_sm = static_cast<u32>(div.get_u64("same_sm"));
-  r.diversity.same_sm_time_overlap =
-      static_cast<u32>(div.get_u64("same_sm_time_overlap"));
-  r.diversity.time_overlap = static_cast<u32>(div.get_u64("time_overlap"));
-  const JsonValue& stats = v.at("stats");
-  if (stats.kind != JsonValue::Kind::kObject)
-    throw std::runtime_error("field 'stats' is not an object");
-  for (const auto& [name, val] : stats.object) {
-    if (val.kind != JsonValue::Kind::kNumber || !val.is_integer ||
-        val.negative)
-      throw std::runtime_error("stat counter '" + name +
-                               "' is not a non-negative integer");
-    r.stats.set(name, val.integer);
-  }
-  const JsonValue* prof = v.find("sm_profile");
-  if (prof != nullptr) {
-    if (prof->kind != JsonValue::Kind::kArray)
-      throw std::runtime_error("field 'sm_profile' is not an array");
-    for (const JsonValue& e : prof->array) {
-      obs::SmCycles c;
-      c.issued = e.get_u64("issued");
-      c.scoreboard = e.get_u64("scoreboard");
-      c.barrier = e.get_u64("barrier");
-      c.structural = e.get_u64("structural");
-      c.idle = e.get_u64("idle");
-      r.sm_profile.push_back(c);
-    }
-  }
-  r.fault_active = v.get_bool("fault_active");
-  r.corruptions = v.get_u64("corruptions");
-  r.diverted_blocks = v.get_u64("diverted_blocks");
-  r.outcome = parse_outcome(v.get_string("outcome"));
-  r.divergence = v.get_string("divergence");
-  r.wall_sec = v.get_double("wall_sec");
-  r.sim_wall_sec = v.get_double("sim_wall_sec");
+  get_json(parse_json(line), r);
   return r;
 }
 

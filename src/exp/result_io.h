@@ -1,20 +1,25 @@
 // ScenarioResult <-> JSONL record conversion (higpu.campaign.jsonl/1).
 //
-// One ScenarioResult is one self-contained JSON object on one line. Every
-// deterministic field round-trips bit-exactly — they are all integers,
-// booleans, enums (serialized by name) or strings — which is what lets the
-// distributed campaign service journal results as they stream in and still
-// honor the campaign determinism contract on resume
-// (ScenarioResult::deterministic_fields_equal against a jobs=1 golden).
-// The non-deterministic wall-clock fields travel as doubles for reporting
-// and are excluded from that equality, exactly as in the in-process runner.
+// One ScenarioResult is one self-contained JSON object on one line, its
+// fields in visit_fields order. Every deterministic field round-trips
+// bit-exactly — they are all integers, booleans, enums (by name) or
+// strings — which is what lets the distributed campaign service journal
+// results as they stream in and still honor the campaign determinism
+// contract on resume (ScenarioResult::deterministic_fields_equal against a
+// jobs=1 golden). The non-deterministic wall-clock fields travel as doubles
+// for reporting and are excluded from that equality.
 #pragma once
 
 #include <string>
 
+#include "common/table.h"
 #include "exp/campaign.h"
 
 namespace higpu::exp {
+
+/// Write every field of `r` as members of the currently open JSON object:
+/// the body shared by a JSONL record and a campaign report entry.
+void put_result_fields(JsonWriter& jw, const ScenarioResult& r);
 
 /// Serialize one result as a single-line JSON object (no trailing newline).
 /// The `error` string may contain newlines/quotes/control characters from

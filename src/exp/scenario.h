@@ -34,6 +34,7 @@ struct FaultPlan {
     kPermanentSm,  // every result on `sm` corrupted from `start` on
     kScheduler,    // block->SM mapping rotated by `sm_offset` from `start`
   };
+  friend constexpr u32 enum_count(Kind) { return u32(Kind::kScheduler) + 1; }
 
   Kind kind = Kind::kNone;
   u32 sm = 0;
@@ -59,6 +60,16 @@ struct FaultPlan {
 
   bool operator==(const FaultPlan& other) const = default;
 };
+
+template <FieldsOf<FaultPlan> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("kind", r.kind);
+  f("sm", r.sm);
+  f("start", r.start);
+  f("duration", r.duration);
+  f("bit", r.bit);
+  f("sm_offset", r.sm_offset);
+}
 
 /// One experiment as a value. Default-constructed fields reproduce the
 /// paper's standard setup (6-SM GPU, SRRS redundant pair, no faults).
@@ -113,6 +124,21 @@ struct ScenarioSpec {
   /// wire-serialization round-trip tests assert.
   bool operator==(const ScenarioSpec& other) const = default;
 };
+
+/// ScenarioSpec field list (see common/fields.h); the order is the
+/// higpu.wire/1 spec layout that campaign fingerprints hash.
+template <FieldsOf<ScenarioSpec> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("workload", r.workload);
+  f("scale", r.scale);
+  f("seed", r.seed);
+  f("gpu", r.gpu);
+  f("platform", r.platform);
+  f("policy", r.policy);
+  f("redundancy", r.redundancy);
+  f("fault", r.fault);
+  f("ckpt", r.ckpt);
+}
 
 /// An ordered list of scenarios plus the sweep builders that grow it.
 /// Builders return a new set crossing every current scenario with every

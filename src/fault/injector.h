@@ -70,6 +70,8 @@ enum class Outcome {
 };
 
 const char* outcome_name(Outcome o);
+constexpr u32 enum_count(Outcome) { return u32(Outcome::kSdc) + 1; }
+inline const char* enum_name(Outcome o) { return outcome_name(o); }
 
 /// Classify from the two verdicts available to the safety mechanism.
 Outcome classify(bool outputs_match, bool output_correct);

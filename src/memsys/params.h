@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace higpu::memsys {
@@ -63,6 +64,38 @@ struct MemParams {
 
   bool operator==(const MemParams& other) const = default;
 };
+
+constexpr u32 enum_count(WritePolicy) {
+  return u32(WritePolicy::kWriteThrough) + 1;
+}
+constexpr u32 enum_count(WriteAlloc) {
+  return u32(WriteAlloc::kNoAllocate) + 1;
+}
+
+template <FieldsOf<MemParams> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("line_bytes", r.line_bytes);
+  f("l1_size", r.l1_size);
+  f("l1_assoc", r.l1_assoc);
+  f("l1_latency", r.l1_latency);
+  f("l1_mshr_entries", r.l1_mshr_entries);
+  f("l1_write_policy", r.l1_write_policy);
+  f("l1_write_alloc", r.l1_write_alloc);
+  f("l2_size", r.l2_size);
+  f("l2_assoc", r.l2_assoc);
+  f("l2_banks", r.l2_banks);
+  f("l2_latency", r.l2_latency);
+  f("l2_service", r.l2_service);
+  f("dram_channels", r.dram_channels);
+  f("dram_banks_per_channel", r.dram_banks_per_channel);
+  f("dram_row_bytes", r.dram_row_bytes);
+  f("dram_row_hit_latency", r.dram_row_hit_latency);
+  f("dram_row_miss_latency", r.dram_row_miss_latency);
+  f("dram_service", r.dram_service);
+  f("smem_banks", r.smem_banks);
+  f("smem_latency", r.smem_latency);
+  f("atomic_extra", r.atomic_extra);
+}
 
 /// Throws std::invalid_argument naming the offending field (zero geometry,
 /// rows smaller than a line, row size not a multiple of the line size).

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace higpu::obs {
@@ -39,6 +40,15 @@ struct SmCycles {
   u64 total() const { return active() + idle; }
   bool operator==(const SmCycles& other) const = default;
 };
+
+template <FieldsOf<SmCycles> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("issued", r.issued);
+  f("scoreboard", r.scoreboard);
+  f("barrier", r.barrier);
+  f("structural", r.structural);
+  f("idle", r.idle);
+}
 
 /// Render per-SM attribution as an aligned text table (run_workload
 /// --profile). `cycles` is the run's total GPU cycle count.

@@ -195,38 +195,15 @@ void Device::push_checkpoint(ckpt::SnapshotPtr snap, bool anchor) {
 }
 
 u64 Device::params_fingerprint() const {
+  // exec_mode and verify stay out of the fingerprint (reset to defaults):
+  // neither changes what a valid program computes, and their state (block
+  // traces, verdict memo) is derived and rebuilt after a restore.
+  sim::GpuParams g = gpu_->params();
+  g.exec_mode = sim::GpuParams{}.exec_mode;
+  g.verify = sim::GpuParams{}.verify;
   ckpt::Writer w;
-  const sim::GpuParams& g = gpu_->params();
-  // exec_mode is deliberately NOT part of the fingerprint: the block engine
-  // is bit-identical to the interpreter and its traces are derived state
-  // rebuilt on restore, so snapshots are interchangeable across exec modes.
-  // `verify` stays out for the same reason: the launch gate never changes
-  // what a valid program computes, and its memo is derived state.
-  w.put8(static_cast<u8>(g.engine));
-  for (u32 v : {g.num_sms, g.warp_size, g.max_warps_per_sm,
-                g.max_blocks_per_sm, g.regfile_per_sm, g.shared_per_sm,
-                g.num_warp_schedulers, g.sp_latency, g.sfu_latency,
-                g.sfu_interval, g.launch_gap_cycles})
-    w.put32(v);
-  w.putf64(g.clock_ghz);
-  const memsys::MemParams& m = g.mem;
-  w.put8(static_cast<u8>(m.l1_write_policy));
-  w.put8(static_cast<u8>(m.l1_write_alloc));
-  for (u32 v : {m.line_bytes, m.l1_size, m.l1_assoc, m.l1_latency,
-                m.l1_mshr_entries, m.l2_size, m.l2_assoc, m.l2_banks,
-                m.l2_latency, m.l2_service, m.dram_channels,
-                m.dram_banks_per_channel, m.dram_row_bytes,
-                m.dram_row_hit_latency, m.dram_row_miss_latency,
-                m.dram_service, m.smem_banks, m.smem_latency, m.atomic_extra})
-    w.put32(v);
-  const PlatformParams& p = platform_;
-  for (double v : {p.pcie_h2d_gbps, p.pcie_d2h_gbps, p.host_compare_gbps,
-                   p.host_compute_gbps, p.file_parse_gbps, p.mem_generate_gbps,
-                   p.ckpt_restore_gbps})
-    w.putf64(v);
-  for (NanoSec v : {p.api_call_ns, p.memcpy_latency_ns, p.launch_ns, p.sync_ns,
-                    p.ckpt_restore_latency_ns})
-    w.put64(v);
+  ckpt::put_fields(w, g);
+  ckpt::put_fields(w, platform_);
   return ckpt::fnv1a(w.blob().data(), w.blob().size());
 }
 

@@ -7,6 +7,7 @@
 // reproducing Fig. 5 is the *ratio* of kernel time to everything else.
 #pragma once
 
+#include "common/fields.h"
 #include "common/types.h"
 
 namespace higpu::runtime {
@@ -56,5 +57,21 @@ struct PlatformParams {
 
   bool operator==(const PlatformParams& other) const = default;
 };
+
+template <FieldsOf<PlatformParams> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("pcie_h2d_gbps", r.pcie_h2d_gbps);
+  f("pcie_d2h_gbps", r.pcie_d2h_gbps);
+  f("api_call_ns", r.api_call_ns);
+  f("memcpy_latency_ns", r.memcpy_latency_ns);
+  f("launch_ns", r.launch_ns);
+  f("sync_ns", r.sync_ns);
+  f("host_compare_gbps", r.host_compare_gbps);
+  f("host_compute_gbps", r.host_compute_gbps);
+  f("file_parse_gbps", r.file_parse_gbps);
+  f("mem_generate_gbps", r.mem_generate_gbps);
+  f("ckpt_restore_gbps", r.ckpt_restore_gbps);
+  f("ckpt_restore_latency_ns", r.ckpt_restore_latency_ns);
+}
 
 }  // namespace higpu::runtime

@@ -12,6 +12,8 @@ namespace higpu::safety {
 enum class Asil { kQM = 0, kA, kB, kC, kD };
 
 const char* asil_name(Asil a);
+constexpr u32 enum_count(Asil) { return u32(Asil::kD) + 1; }
+inline const char* enum_name(Asil a) { return asil_name(a); }
 
 /// ISO 26262-9 ASIL decomposition: a requirement at `goal` may be decomposed
 /// onto two *independent* redundant elements at levels `x` and `y`.

@@ -22,6 +22,7 @@ namespace higpu::sched {
 enum class Policy { kDefault, kHalf, kSrrs };
 
 const char* policy_name(Policy p);
+constexpr u32 enum_count(Policy) { return u32(Policy::kSrrs) + 1; }
 
 class DefaultKernelScheduler final : public sim::IKernelScheduler {
  public:

@@ -4,6 +4,7 @@
 // (GPGPU-Sim config in Fig. 4; the GTX 1050 Ti of Fig. 5 also has 6 SMs).
 #pragma once
 
+#include "common/fields.h"
 #include "common/types.h"
 #include "memsys/params.h"
 
@@ -88,5 +89,29 @@ struct GpuParams {
 
   bool operator==(const GpuParams& other) const = default;
 };
+
+constexpr u32 enum_count(SimEngine) { return u32(SimEngine::kDense) + 1; }
+constexpr u32 enum_count(ExecMode) { return u32(ExecMode::kInterp) + 1; }
+constexpr u32 enum_count(LaunchVerify) { return u32(LaunchVerify::kOff) + 1; }
+
+template <FieldsOf<GpuParams> R, class F>
+void visit_fields(R& r, F&& f) {
+  f("engine", r.engine);
+  f("exec_mode", r.exec_mode);
+  f("verify", r.verify);
+  f("num_sms", r.num_sms);
+  f("warp_size", r.warp_size);
+  f("max_warps_per_sm", r.max_warps_per_sm);
+  f("max_blocks_per_sm", r.max_blocks_per_sm);
+  f("regfile_per_sm", r.regfile_per_sm);
+  f("shared_per_sm", r.shared_per_sm);
+  f("num_warp_schedulers", r.num_warp_schedulers);
+  f("sp_latency", r.sp_latency);
+  f("sfu_latency", r.sfu_latency);
+  f("sfu_interval", r.sfu_interval);
+  f("launch_gap_cycles", r.launch_gap_cycles);
+  f("clock_ghz", r.clock_ghz);
+  f("mem", r.mem);
+}
 
 }  // namespace higpu::sim

@@ -21,6 +21,7 @@ namespace higpu::workloads {
 enum class Scale { kTest = 0, kBench = 1 };
 
 const char* scale_name(Scale s);
+constexpr u32 enum_count(Scale) { return u32(Scale::kBench) + 1; }
 /// Parse "test" / "bench"; throws std::invalid_argument otherwise.
 Scale parse_scale(const std::string& s);
 

@@ -5,9 +5,11 @@
 
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/table.h"
 #include "exp/campaign.h"
+#include "exp/result_io.h"
 
 namespace higpu::exp {
 namespace {
@@ -335,6 +337,20 @@ TEST(CampaignRunner, FaultOutcomesClassified) {
 
 // ---- Report emission -------------------------------------------------------
 
+/// Every field name a record's visitor yields, nested records included.
+template <class R>
+void collect_field_names(const R& rec, std::vector<std::string>& out) {
+  visit_fields(rec, [&](const char* name, const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    out.emplace_back(name);
+    if constexpr (Visited<T>) collect_field_names(v, out);
+    if constexpr (kIsVector<T>) {
+      if constexpr (Visited<typename T::value_type>)
+        collect_field_names(typename T::value_type{}, out);
+    }
+  });
+}
+
 TEST(CampaignReport, JsonAndCsvCarryTheCampaign) {
   const ScenarioSet set =
       ScenarioSet::of(base_spec())
@@ -342,12 +358,24 @@ TEST(CampaignReport, JsonAndCsvCarryTheCampaign) {
   const CampaignResult campaign = CampaignRunner().run(set);
 
   const std::string json = campaign.to_json();
-  EXPECT_NE(json.find("\"schema\": \"higpu.campaign/1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"higpu.campaign/2\""), std::string::npos);
   EXPECT_NE(json.find("\"scenarios\": 2"), std::string::npos);
   EXPECT_NE(json.find("hotspot:test:seed2019:srrs:red:nofault"),
             std::string::npos);
-  EXPECT_NE(json.find("\"fault_outcome\": \"detected\""), std::string::npos);
+  EXPECT_NE(json.find("\"outcome\": \"detected\""), std::string::npos);
   EXPECT_NE(json.find("\"instructions\""), std::string::npos);
+
+  // Field coverage: the journal record and the report carry every field
+  // the result visitor names, nested records included.
+  std::vector<std::string> names;
+  collect_field_names(campaign.results[1], names);
+  const std::string jsonl = result_to_jsonl(campaign.results[1]);
+  for (const std::string& name : names) {
+    EXPECT_NE(jsonl.find("\"" + name + "\":"), std::string::npos)
+        << "JSONL record lacks " << name;
+    EXPECT_NE(json.find("\"" + name + "\": "), std::string::npos)
+        << "campaign report lacks " << name;
+  }
 
   const std::string csv = campaign.to_csv();
   EXPECT_NE(csv.find("index,label,workload"), std::string::npos);

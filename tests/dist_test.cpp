@@ -190,6 +190,167 @@ TEST(WireSpec, RoundTripPreservesEveryField) {
   EXPECT_EQ(spec.label(), back.label());
 }
 
+/// A spec with a non-default value in every field of every sub-struct, so
+/// the byte pin below moves if any field is dropped, reordered or re-encoded.
+ScenarioSpec golden_spec() {
+  ScenarioSpec s = test_spec("pathfinder");
+  s.scale = workloads::Scale::kBench;
+  s.seed = 0x1234567890ull;
+  sim::GpuParams& g = s.gpu;
+  g.engine = sim::SimEngine::kDense;
+  g.exec_mode = sim::ExecMode::kInterp;
+  g.verify = sim::LaunchVerify::kOff;
+  g.num_sms = 8;
+  g.warp_size = 16;
+  g.max_warps_per_sm = 40;
+  g.max_blocks_per_sm = 12;
+  g.regfile_per_sm = 32768;
+  g.shared_per_sm = 16384;
+  g.num_warp_schedulers = 4;
+  g.sp_latency = 5;
+  g.sfu_latency = 18;
+  g.sfu_interval = 3;
+  g.launch_gap_cycles = 2500;
+  g.clock_ghz = 1.25;
+  memsys::MemParams& m = g.mem;
+  m.line_bytes = 64;
+  m.l1_size = 16384;
+  m.l1_assoc = 2;
+  m.l1_latency = 30;
+  m.l1_mshr_entries = 8;
+  m.l1_write_policy = memsys::WritePolicy::kWriteThrough;
+  m.l1_write_alloc = memsys::WriteAlloc::kNoAllocate;
+  m.l2_size = 524288;
+  m.l2_assoc = 16;
+  m.l2_banks = 4;
+  m.l2_latency = 110;
+  m.l2_service = 3;
+  m.dram_channels = 2;
+  m.dram_banks_per_channel = 8;
+  m.dram_row_bytes = 1024;
+  m.dram_row_hit_latency = 150;
+  m.dram_row_miss_latency = 300;
+  m.dram_service = 5;
+  m.smem_banks = 16;
+  m.smem_latency = 20;
+  m.atomic_extra = 9;
+  runtime::PlatformParams& p = s.platform;
+  p.pcie_h2d_gbps = 12.5;
+  p.pcie_d2h_gbps = 10.5;
+  p.api_call_ns = 5001;
+  p.memcpy_latency_ns = 10002;
+  p.launch_ns = 4003;
+  p.sync_ns = 4004;
+  p.host_compare_gbps = 2.5;
+  p.host_compute_gbps = 1.5;
+  p.file_parse_gbps = 0.25;
+  p.mem_generate_gbps = 1.75;
+  p.ckpt_restore_gbps = 16.0;
+  p.ckpt_restore_latency_ns = 3005;
+  s.policy = sched::Policy::kHalf;
+  core::RedundancySpec& r = s.redundancy;
+  r.n_copies = 3;
+  r.compare = core::RedundancySpec::Compare::kTolerance;
+  r.tolerance = 0.125f;
+  r.srrs_starts = {1, 3, 5};
+  r.recovery = core::RedundancySpec::Recovery::kRollback;
+  r.max_retries = 4;
+  r.ftti_ns = 55'000'000;
+  s.fault = FaultPlan::transient_sm(3, 7000, 60, 11);
+  s.fault.sm_offset = 2;
+  s.ckpt = ckpt::CheckpointPolicy::interval(8192);
+  return s;
+}
+
+/// A hand-filled result with every field set (no simulation involved);
+/// `faulty_copy` keeps its -1 sentinel to pin the signed encoding.
+ScenarioResult golden_result() {
+  ScenarioResult r;
+  r.index = 17;
+  r.label = "pathfinder:bench:seed42:half:tmr-vote:droop@2000w50b2";
+  r.workload = "pathfinder";
+  r.ok = true;
+  r.error = "line one\n\"two\"";
+  r.verified = true;
+  r.dcls_match = true;
+  r.majority_ok = true;
+  r.comparisons = 6;
+  r.mismatches = 2;
+  r.faulty_copy = -1;
+  r.n_copies = 3;
+  r.attempts = 2;
+  r.recovered = true;
+  r.degraded = true;
+  r.ftti_met = true;
+  r.response_ns = 123456789;
+  r.achieved_asil = safety::Asil::kD;
+  r.kernel_cycles = 987654;
+  r.elapsed_ns = 5550001;
+  r.ff_cycles = 4321;
+  r.diversity.blocks_checked = 40;
+  r.diversity.same_sm = 3;
+  r.diversity.same_sm_time_overlap = 2;
+  r.diversity.time_overlap = 5;
+  r.stats.set("instructions", 1000000);
+  r.stats.set("block_exec_hits", 777);
+  r.stats.set("l1_hits", 0);
+  r.sm_profile = {{10, 20, 30, 40, 50}, {1, 2, 3, 4, 5}};
+  r.fault_active = true;
+  r.corruptions = 99;
+  r.diverted_blocks = 7;
+  r.outcome = fault::Outcome::kSdc;
+  r.divergence = "l1[2] set 17";
+  r.wall_sec = 0.1;
+  r.sim_wall_sec = 0.0625;
+  return r;
+}
+
+TEST(WireSpec, GoldenBytesAreStable) {
+  // Pinned values of the hand-written codecs this layout replaced: journals
+  // and campaign fingerprints written before must still match.
+  ckpt::Writer w;
+  dist::put_spec(w, golden_spec());
+  EXPECT_EQ(0xc69dc513e94a0c0aull,
+            ckpt::fnv1a(w.blob().data(), w.blob().size()));
+  EXPECT_EQ(
+      "{\"index\":17,\"label\":\"pathfinder:bench:seed42:half:tmr-vote:droop@2000w50b2\",\"workload\":\"pathfinder\",\"ok\":true,"
+      "\"error\":\"line one\\n\\\"two\\\"\",\"verified\":true,\"dcls_match\":true,\"majority_ok\":true,"
+      "\"comparisons\":6,\"mismatches\":2,\"faulty_copy\":-1,\"n_copies\":3,\"attempts\":2,"
+      "\"recovered\":true,\"degraded\":true,\"ftti_met\":true,\"response_ns\":123456789,"
+      "\"achieved_asil\":\"ASIL-D\",\"kernel_cycles\":987654,\"elapsed_ns\":5550001,\"ff_cycles\":4321,"
+      "\"diversity\":{\"blocks_checked\":40,\"same_sm\":3,\"same_sm_time_overlap\":2,\"time_overlap\":5},"
+      "\"stats\":{\"block_exec_hits\":777,\"instructions\":1000000,\"l1_hits\":0},"
+      "\"sm_profile\":[{\"issued\":10,\"scoreboard\":20,\"barrier\":30,\"structural\":40,\"idle\":50},{\"issued\":1,\"scoreboard\":2,\"barrier\":3,\"structural\":4,\"idle\":5}],"
+      "\"fault_active\":true,\"corruptions\":99,\"diverted_blocks\":7,\"outcome\":\"SDC\","
+      "\"divergence\":\"l1[2] set 17\",\"wall_sec\":0.10000000000000001,\"sim_wall_sec\":0.0625}",
+      exp::result_to_jsonl(golden_result()));
+  ckpt::Reader r(w.blob(), {});
+  EXPECT_TRUE(golden_spec() == dist::get_spec(r));
+  EXPECT_EQ(exp::result_to_jsonl(golden_result()),
+            exp::result_to_jsonl(
+                exp::result_from_jsonl(exp::result_to_jsonl(golden_result()))));
+}
+
+TEST(WireSpec, OutOfRangeEnumIsRefused) {
+  // Locate the policy byte as the one byte two payloads differing only in
+  // their policy disagree on, then push it past the last enumerator.
+  dist::WorkItem item;
+  item.spec = test_spec("hotspot");
+  item.spec.policy = sched::Policy::kSrrs;
+  std::vector<u8> payload = dist::encode_work(item);
+  item.spec.policy = sched::Policy::kHalf;
+  const std::vector<u8> other = dist::encode_work(item);
+  ASSERT_EQ(payload.size(), other.size());
+  size_t at = 0;
+  while (at < payload.size() && payload[at] == other[at]) ++at;
+  ASSERT_LT(at, payload.size());
+  EXPECT_NO_THROW(dist::decode_work(payload));
+  payload[at] = 3;  // one past kSrrs
+  EXPECT_THROW(dist::decode_work(payload), dist::WireError);
+  payload[at] = 0xFF;
+  EXPECT_THROW(dist::decode_work(payload), dist::WireError);
+}
+
 TEST(WireSpec, CampaignFingerprintTracksContent) {
   const ScenarioSet a = mixed_set();
   const ScenarioSet b = mixed_set();
