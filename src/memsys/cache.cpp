@@ -5,14 +5,14 @@
 namespace higpu::memsys {
 
 SetAssocCache::SetAssocCache(u32 size_bytes, u32 assoc, u32 line_bytes)
-    : num_sets_(size_bytes / line_bytes / assoc), assoc_(assoc) {
-  assert(num_sets_ > 0);
+    : num_sets_(size_bytes / line_bytes / assoc),
+      assoc_(assoc),
+      sets_div_((assert(num_sets_ > 0), num_sets_)) {
   ways_.resize(static_cast<size_t>(num_sets_) * assoc_);
 }
 
 CacheAccessResult SetAssocCache::access(u64 line_addr, bool is_write) {
-  const u32 set = set_of(line_addr);
-  const u64 tag = tag_of(line_addr);
+  const auto [set, tag] = slot_of(line_addr);
   Way* base = &ways_[static_cast<size_t>(set) * assoc_];
 
   // Hit path.
@@ -50,24 +50,8 @@ CacheAccessResult SetAssocCache::access(u64 line_addr, bool is_write) {
   return res;
 }
 
-bool SetAssocCache::touch(u64 line_addr, bool mark_dirty) {
-  const u32 set = set_of(line_addr);
-  const u64 tag = tag_of(line_addr);
-  Way* base = &ways_[static_cast<size_t>(set) * assoc_];
-  for (u32 w = 0; w < assoc_; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++use_counter_;
-      if (mark_dirty) way.dirty = true;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool SetAssocCache::probe(u64 line_addr) const {
-  const u32 set = set_of(line_addr);
-  const u64 tag = tag_of(line_addr);
+  const auto [set, tag] = slot_of(line_addr);
   const Way* base = &ways_[static_cast<size_t>(set) * assoc_];
   for (u32 w = 0; w < assoc_; ++w)
     if (base[w].valid && base[w].tag == tag) return true;
@@ -100,8 +84,7 @@ void SetAssocCache::restore(ckpt::Reader& r) {
 }
 
 bool SetAssocCache::invalidate_line(u64 line_addr) {
-  const u32 set = set_of(line_addr);
-  const u64 tag = tag_of(line_addr);
+  const auto [set, tag] = slot_of(line_addr);
   Way* base = &ways_[static_cast<size_t>(set) * assoc_];
   for (u32 w = 0; w < assoc_; ++w) {
     if (base[w].valid && base[w].tag == tag) {

@@ -9,6 +9,7 @@
 
 #include "ckpt/serial.h"
 #include "common/types.h"
+#include "memsys/fastdiv.h"
 
 namespace higpu::memsys {
 
@@ -29,8 +30,21 @@ class SetAssocCache {
 
   /// Hit-path-only access: if the line is present, refresh its LRU state
   /// (and mark it dirty when requested) and return true; a miss changes
-  /// nothing. Lets MemHierarchy defer fills to MSHR completion.
-  bool touch(u64 line_addr, bool mark_dirty);
+  /// nothing. Lets MemHierarchy defer fills to MSHR completion. Inline:
+  /// it is the L1 lookup of every global-memory line access.
+  bool touch(u64 line_addr, bool mark_dirty) {
+    const auto [set, tag] = slot_of(line_addr);
+    Way* base = &ways_[static_cast<size_t>(set) * assoc_];
+    for (u32 w = 0; w < assoc_; ++w) {
+      Way& way = base[w];
+      if (way.valid && way.tag == tag) {
+        way.lru = ++use_counter_;
+        if (mark_dirty) way.dirty = true;
+        return true;
+      }
+    }
+    return false;
+  }
 
   /// Probe without state change.
   bool probe(u64 line_addr) const;
@@ -59,11 +73,20 @@ class SetAssocCache {
     u64 lru = 0;  // larger = more recently used
   };
 
-  u32 set_of(u64 line_addr) const { return static_cast<u32>(line_addr % num_sets_); }
-  u64 tag_of(u64 line_addr) const { return line_addr / num_sets_; }
+  /// A line's set (line_addr % num_sets_) and tag (line_addr / num_sets_),
+  /// from one reciprocal multiply instead of a divide and a modulo.
+  struct Slot {
+    u32 set;
+    u64 tag;
+  };
+  Slot slot_of(u64 line_addr) const {
+    const u64 tag = sets_div_.quot(line_addr);
+    return {static_cast<u32>(line_addr - tag * num_sets_), tag};
+  }
 
   u32 num_sets_;
   u32 assoc_;
+  FastDiv sets_div_;  // divisor num_sets_
   u64 use_counter_ = 0;
   std::vector<Way> ways_;  // num_sets_ * assoc_
 };

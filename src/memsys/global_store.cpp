@@ -1,6 +1,5 @@
 #include "memsys/global_store.h"
 
-#include <cassert>
 #include <cstring>
 #include <new>
 
@@ -23,16 +22,14 @@ void GlobalStore::ensure(u64 end) {
   if (data_.size() < end) data_.resize(end, 0);
 }
 
-u32 GlobalStore::read32(DevPtr addr) const {
-  assert(addr % 4 == 0 && "unaligned 32-bit global read");
+u32 GlobalStore::read32_grow(DevPtr addr) const {
   if (addr + 4 > data_.size()) data_.resize(addr + 4, 0);
   u32 v;
   std::memcpy(&v, data_.data() + addr, 4);
   return v;
 }
 
-void GlobalStore::write32(DevPtr addr, u32 value) {
-  assert(addr % 4 == 0 && "unaligned 32-bit global write");
+void GlobalStore::write32_grow(DevPtr addr, u32 value) {
   ensure(addr + 4);
   std::memcpy(data_.data() + addr, &value, 4);
 }

@@ -1,6 +1,7 @@
 #include "memsys/hierarchy.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace higpu::memsys {
 
@@ -41,7 +42,7 @@ void MemHierarchy::reset() {
   std::fill(l2_bank_free_.begin(), l2_bank_free_.end(), 0);
   std::fill(dram_channel_free_.begin(), dram_channel_free_.end(), 0);
   std::fill(dram_banks_.begin(), dram_banks_.end(), DramBank{});
-  for (auto& m : mshr_) m.clear();
+  for (Mshr& m : mshr_) m = Mshr{};
   l1_hits_ = l1_misses_ = 0;
   l1_write_hits_ = l1_write_misses_ = 0;
   l1_mshr_merges_ = l1_writebacks_ = 0;
@@ -144,15 +145,18 @@ Cycle MemHierarchy::access_l2(u64 line_addr, bool is_write, Cycle now,
   return dram_access(line_addr, start, false);
 }
 
-void MemHierarchy::remove_entry(u32 sm, size_t idx) {
-  auto& mshr = mshr_[sm];
-  mshr[idx] = mshr.back();
-  mshr.pop_back();
+void MemHierarchy::remove_entry(std::vector<MshrEntry>& entries, size_t idx) {
+  entries[idx] = entries.back();
+  entries.pop_back();
 }
 
-void MemHierarchy::fill_and_remove(u32 sm, size_t idx) {
-  const MshrEntry e = mshr_[sm][idx];
-  remove_entry(sm, idx);
+void MemHierarchy::refresh_next_ready(Mshr& m) {
+  m.next_ready = kNoneReady;
+  for (const MshrEntry& e : m.entries)
+    m.next_ready = std::min(m.next_ready, e.ready);
+}
+
+void MemHierarchy::fill(u32 sm, const MshrEntry& e) {
   if (obs_ != nullptr)
     obs_->instant(obs_mshr_tracks_[sm], obs::Ev::kMshrFill, e.ready, e.line,
                   e.fill_dirty);
@@ -162,23 +166,56 @@ void MemHierarchy::fill_and_remove(u32 sm, size_t idx) {
   if (res.writeback_line) writeback_to_l2(*res.writeback_line, e.ready);
 }
 
-size_t MemHierarchy::earliest_entry(const std::vector<MshrEntry>& mshr) {
+size_t MemHierarchy::earliest_entry(const std::vector<MshrEntry>& entries,
+                                    Cycle& runner_up) {
   size_t best = 0;
-  for (size_t i = 1; i < mshr.size(); ++i) {
-    if (mshr[i].ready < mshr[best].ready ||
-        (mshr[i].ready == mshr[best].ready && mshr[i].line < mshr[best].line))
+  runner_up = kNoneReady;
+  for (size_t i = 1; i < entries.size(); ++i) {
+    const MshrEntry& e = entries[i];
+    const MshrEntry& b = entries[best];
+    if (e.ready < b.ready || (e.ready == b.ready && e.line < b.line)) {
+      runner_up = std::min(runner_up, b.ready);
       best = i;
+    } else {
+      runner_up = std::min(runner_up, e.ready);
+    }
   }
   return best;
 }
 
-void MemHierarchy::reap_expired(u32 sm, Cycle now) {
-  auto& mshr = mshr_[sm];
-  // Fill in completion order so the L1's LRU state reflects arrival times.
-  while (!mshr.empty()) {
-    const size_t best = earliest_entry(mshr);
-    if (mshr[best].ready > now) return;
-    fill_and_remove(sm, best);
+void MemHierarchy::reap_expired_slow(u32 sm, Cycle now) {
+  Mshr& m = mshr_[sm];
+  auto& entries = m.entries;
+  // One pass: collect the expired entries and the watermark of the rest.
+  std::vector<u32>& expired = reap_scratch_;
+  expired.clear();
+  m.next_ready = kNoneReady;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].ready <= now)
+      expired.push_back(static_cast<u32>(i));
+    else
+      m.next_ready = std::min(m.next_ready, entries[i].ready);
+  }
+  // Fill in completion order so the L1's LRU state reflects arrival times
+  // (lines are unique within one MSHR, so the order is total).
+  if (expired.size() > 1) {
+    std::sort(expired.begin(), expired.end(), [&entries](u32 a, u32 b) {
+      return entries[a].ready != entries[b].ready
+                 ? entries[a].ready < entries[b].ready
+                 : entries[a].line < entries[b].line;
+    });
+  }
+  // Swap-pop each entry in that same order — the order a per-entry
+  // earliest-first removal would use — so the surviving storage order (a
+  // snapshot byte) is unchanged. A swap that moves a still-pending expired
+  // entry updates its recorded index.
+  for (size_t k = 0; k < expired.size(); ++k) {
+    const size_t idx = expired[k];
+    fill(sm, entries[idx]);
+    const u32 last = static_cast<u32>(entries.size() - 1);
+    remove_entry(entries, idx);
+    for (size_t j = k + 1; j < expired.size(); ++j)
+      if (expired[j] == last) expired[j] = static_cast<u32>(idx);
   }
 }
 
@@ -192,11 +229,30 @@ MemResponse MemHierarchy::access_line(u32 sm, u64 line_addr, bool is_write,
   const bool write_through =
       params_.l1_write_policy == WritePolicy::kWriteThrough;
 
-  auto& mshr = mshr_[sm];
   reap_expired(sm, t);
+  Mshr& m = mshr_[sm];
+
+  // L1 tag lookup. Hits refresh LRU (and dirtiness under write-back);
+  // misses never fill here — lines enter the L1 only via MSHR completion,
+  // so a resident line has no in-flight fill to merge into.
+  if (l1_[sm].touch(line_addr, is_write && !write_through)) {
+    assert(std::none_of(m.entries.begin(), m.entries.end(),
+                        [line_addr](const MshrEntry& e) {
+                          return e.line == line_addr;
+                        }) &&
+           "L1-resident line has an in-flight MSHR fill");
+    (is_write ? l1_write_hits_ : l1_hits_) += 1;
+    Cycle done = t + params_.l1_latency;
+    if (is_write && write_through) {
+      done = access_l2(line_addr, true, t + params_.l1_latency, false);
+      l1_write_through_ += 1;
+    }
+    l1_port_free_[sm] = t + 1;
+    return {done, t + 1};
+  }
 
   // Merge into an in-flight fill (MSHR hit): no new fetch traffic.
-  for (MshrEntry& e : mshr) {
+  for (MshrEntry& e : m.entries) {
     if (e.line != line_addr) continue;  // reap left only entries ready > t
     l1_mshr_merges_ += 1;
     Cycle done = e.ready;
@@ -214,19 +270,6 @@ MemResponse MemHierarchy::access_line(u32 sm, u64 line_addr, bool is_write,
     l1_port_free_[sm] = t + 1;
     return {done, t + 1};
   }
-
-  // L1 tag lookup. Hits refresh LRU (and dirtiness under write-back);
-  // misses never fill here — lines enter the L1 only via MSHR completion.
-  if (l1_[sm].touch(line_addr, is_write && !write_through)) {
-    (is_write ? l1_write_hits_ : l1_hits_) += 1;
-    Cycle done = t + params_.l1_latency;
-    if (is_write && write_through) {
-      done = access_l2(line_addr, true, t + params_.l1_latency, false);
-      l1_write_through_ += 1;
-    }
-    l1_port_free_[sm] = t + 1;
-    return {done, t + 1};
-  }
   (is_write ? l1_write_misses_ : l1_misses_) += 1;
 
   // Reads always allocate; writes allocate per the L1 policy.
@@ -234,14 +277,15 @@ MemResponse MemHierarchy::access_line(u32 sm, u64 line_addr, bool is_write,
       !is_write || params_.l1_write_alloc == WriteAlloc::kAllocate;
 
   Cycle issue = t;
-  if (allocate && mshr.size() >= params_.l1_mshr_entries) {
+  if (allocate && m.entries.size() >= params_.l1_mshr_entries) {
     // MSHR full: the access occupies the L1 port until the earliest
     // in-flight fill frees its entry, then proceeds as a tracked miss.
-    const size_t idx = earliest_entry(mshr);
-    issue = mshr[idx].ready;  // > t, otherwise reap would have taken it
+    const size_t idx = earliest_entry(m.entries, m.next_ready);
+    issue = m.entries[idx].ready;  // > t, otherwise reap would have taken it
     l1_mshr_stalls_ += 1;
     l1_mshr_stall_cycles_ += issue - t;
-    fill_and_remove(sm, idx);
+    fill(sm, m.entries[idx]);
+    remove_entry(m.entries, idx);
   }
   l1_port_free_[sm] = issue + 1;
 
@@ -251,7 +295,8 @@ MemResponse MemHierarchy::access_line(u32 sm, u64 line_addr, bool is_write,
         access_l2(line_addr, true, issue + params_.l1_latency, false);
     l1_write_through_ += 1;
     if (allocate) {  // WT + write-allocate: the same transaction fills the L1
-      mshr.push_back(MshrEntry{line_addr, done, false});
+      m.entries.push_back(MshrEntry{line_addr, done, false});
+      m.next_ready = std::min(m.next_ready, done);
       if (obs_ != nullptr)
         obs_->instant(obs_mshr_tracks_[sm], obs::Ev::kMshrAlloc, issue,
                       line_addr, done);
@@ -264,7 +309,8 @@ MemResponse MemHierarchy::access_line(u32 sm, u64 line_addr, bool is_write,
   // eviction); the store retires when the line arrives.
   const Cycle ready =
       access_l2(line_addr, false, issue + params_.l1_latency, false);
-  mshr.push_back(MshrEntry{line_addr, ready, is_write});
+  m.entries.push_back(MshrEntry{line_addr, ready, is_write});
+  m.next_ready = std::min(m.next_ready, ready);
   if (obs_ != nullptr)
     obs_->instant(obs_mshr_tracks_[sm], obs::Ev::kMshrAlloc, issue, line_addr,
                   ready);
@@ -281,10 +327,11 @@ MemResponse MemHierarchy::access_atomic(u32 sm, u64 line_addr, Cycle now) {
   // later reap must not reinstall a copy the invalidation just removed.
   // (Loads merged on the entry keep their completion cycles — fixed at
   // issue; a merged store's data is functionally visible already.)
-  auto& mshr = mshr_[sm];
-  for (size_t i = 0; i < mshr.size(); ++i) {
-    if (mshr[i].line == line_addr) {
-      remove_entry(sm, i);
+  Mshr& m = mshr_[sm];
+  for (size_t i = 0; i < m.entries.size(); ++i) {
+    if (m.entries[i].line == line_addr) {
+      remove_entry(m.entries, i);
+      refresh_next_ready(m);
       break;
     }
   }
@@ -320,9 +367,9 @@ void MemHierarchy::save(ckpt::Writer& w) const {
   w.put_u64_vec(l1_port_free_);
   w.put_u64_vec(l2_bank_free_);
   w.put64(mshr_.size());
-  for (const auto& mshr : mshr_) {
-    w.put64(mshr.size());
-    for (const MshrEntry& e : mshr) {
+  for (const Mshr& m : mshr_) {
+    w.put64(m.entries.size());
+    for (const MshrEntry& e : m.entries) {
       w.put64(e.line);
       w.put64(e.ready);
       w.putb(e.fill_dirty);
@@ -361,13 +408,14 @@ void MemHierarchy::restore(ckpt::Reader& r) {
   const u64 n_mshr = r.get64();
   if (n_mshr != mshr_.size())
     throw ckpt::SnapshotError("snapshot MSHR array count mismatch");
-  for (auto& mshr : mshr_) {
-    mshr.resize(static_cast<size_t>(r.get64()));
-    for (MshrEntry& e : mshr) {
+  for (Mshr& m : mshr_) {
+    m.entries.resize(static_cast<size_t>(r.get64()));
+    for (MshrEntry& e : m.entries) {
       e.line = r.get64();
       e.ready = r.get64();
       e.fill_dirty = r.getb();
     }
+    refresh_next_ready(m);
   }
   for (u64* c : {&l1_hits_, &l1_misses_, &l1_write_hits_, &l1_write_misses_,
                  &l1_mshr_merges_, &l1_writebacks_, &l1_mshr_stalls_,

@@ -11,8 +11,16 @@
 //
 // MSHR lifecycle contract:
 //  * every access first reaps *all* fills that have completed by then (in
-//    completion order), performing their L1 fills and victim writebacks —
-//    stale entries never pin MSHR capacity;
+//    (ready, line) completion order), performing their L1 fills and victim
+//    writebacks — stale entries never pin MSHR capacity. Each SM keeps a
+//    `next_ready` watermark (the earliest ready over its MSHR, ~0 when
+//    empty), so an access with nothing expired costs one compare, and the
+//    expired entries are found and ordered in a single pass;
+//  * a line with an in-flight fill is never resident in that SM's L1 (lines
+//    enter the L1 only through MSHR completion, and a new entry is only
+//    allocated on an L1 miss). The L1 tag lookup therefore runs first: a
+//    hit cannot have a matching MSHR entry (asserted in debug builds), and
+//    only a miss scans the MSHR for a fill to merge into;
 //  * an access to a line with an in-flight fill merges into the entry; a
 //    merging store retires into the arriving line (the entry's fill is
 //    marked dirty) instead of touching the tag array early;
@@ -98,22 +106,39 @@ class MemHierarchy {
 
   // Per-SM MSHR: one entry per outstanding L1 fill. Flat storage: at most
   // l1_mshr_entries (~32) entries, so a linear scan beats hashing on the
-  // per-access hot path.
+  // miss path. Removal is swap-pop, so storage order is a deterministic
+  // function of the access history (not FIFO); it is snapshot state, and
+  // reaping removes entries in (ready, line) order to keep it exact.
   struct MshrEntry {
     u64 line;
     Cycle ready;      // fill-completion cycle, fixed at allocation
     bool fill_dirty;  // a store merged in flight: fill installs the line dirty
   };
+  static constexpr Cycle kNoneReady = ~Cycle{0};
+  struct Mshr {
+    std::vector<MshrEntry> entries;
+    Cycle next_ready = kNoneReady;  // min ready over entries; ~0 when empty
+  };
   /// Index of the entry completing first, ties broken by line address —
   /// the one deterministic ordering shared by reaping and MSHR-full
-  /// stalls. `mshr` must be non-empty.
-  static size_t earliest_entry(const std::vector<MshrEntry>& mshr);
-  /// Drop entry `idx` (swap-pop; order is deterministic state, not FIFO).
-  void remove_entry(u32 sm, size_t idx);
-  /// Perform entry `idx`'s L1 fill (victim writeback included) and drop it.
-  void fill_and_remove(u32 sm, size_t idx);
-  /// Fill + drop every entry with ready <= now, in completion order.
-  void reap_expired(u32 sm, Cycle now);
+  /// stalls. `runner_up` receives the earliest ready among the other
+  /// entries (the watermark once the first is gone). `entries` must be
+  /// non-empty.
+  static size_t earliest_entry(const std::vector<MshrEntry>& entries,
+                               Cycle& runner_up);
+  /// Recompute `m.next_ready` after a removal.
+  static void refresh_next_ready(Mshr& m);
+  /// Drop entry `idx` (swap-pop) without touching the watermark.
+  static void remove_entry(std::vector<MshrEntry>& entries, size_t idx);
+  /// Perform `e`'s L1 fill at its completion cycle (victim writeback
+  /// included).
+  void fill(u32 sm, const MshrEntry& e);
+  /// Fill + drop every entry with ready <= now, in (ready, line) order.
+  /// O(1) when nothing has expired (now < next_ready).
+  void reap_expired(u32 sm, Cycle now) {
+    if (now >= mshr_[sm].next_ready) reap_expired_slow(sm, now);
+  }
+  void reap_expired_slow(u32 sm, Cycle now);
 
   MemParams params_;
   u32 lines_per_row_;                      // dram_row_bytes / line_bytes
@@ -128,7 +153,8 @@ class MemHierarchy {
     u64 open_row = kNoOpenRow;
   };
   std::vector<DramBank> dram_banks_;       // channels * banks_per_channel
-  std::vector<std::vector<MshrEntry>> mshr_;
+  std::vector<Mshr> mshr_;                 // per SM
+  std::vector<u32> reap_scratch_;          // expired entry indices
 
   obs::Tracer* obs_ = nullptr;
   u32 obs_dram_track_ = 0;

@@ -653,7 +653,7 @@ void SmCore::exec_global_mem(Warp& w, const Instruction& ins, u32 guard_mask,
       store_->write32(static_cast<memsys::DevPtr>(addr), old + add);
       w.reg_at(ins.dst, lane) = old;
       const memsys::MemResponse r =
-          mem_->access_atomic(sm_id_, addr / line_bytes, now);
+          mem_->access_atomic(sm_id_, memsys::line_of(addr, line_bytes), now);
       done = std::max(done, r.done);
       if (r.issue_free > mem_free_) mem_free_ = r.issue_free;
     }
@@ -719,8 +719,8 @@ void SmCore::exec_shared_mem(Warp& w, const Instruction& ins, u32 guard_mask,
     addr_scratch_.push_back(addr);
   }
 
-  const u32 conflicts =
-      memsys::smem_conflict_degree(addr_scratch_, mem_->params().smem_banks);
+  const u32 conflicts = memsys::smem_conflict_degree(
+      addr_scratch_, mem_->params().smem_banks, line_scratch_, bank_scratch_);
   mem_free_ = now + conflicts;
   const Cycle done = now + mem_->params().smem_latency + (conflicts - 1);
   smem_accesses_ += 1;

@@ -259,9 +259,11 @@ class SmCore {
   Cycle quiet_wake_ = kNeverCycle;
   std::vector<StallRec> warp_stall_;  // parallel to warps_
 
-  // Scratch buffers reused across cycles.
+  // Scratch buffers reused across cycles. line_scratch_ holds a global
+  // access's coalesced lines, or a shared access's distinct words.
   std::vector<u64> addr_scratch_;
   std::vector<u64> line_scratch_;
+  std::vector<u32> bank_scratch_;  // per-bank word counts (shared accesses)
   // Immediate-splat rows for the lane-vector kernels (one per source slot).
   u32 splat_a_[kWarpSize];
   u32 splat_b_[kWarpSize];

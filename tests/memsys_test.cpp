@@ -10,6 +10,12 @@
 namespace higpu::memsys {
 namespace {
 
+u32 conflict_degree(const std::vector<u64>& addrs, u32 banks) {
+  std::vector<u64> words;
+  std::vector<u32> per_bank;
+  return smem_conflict_degree(addrs, banks, words, per_bank);
+}
+
 TEST(Cache, HitAfterFill) {
   SetAssocCache c(1024, 2, 128);  // 4 sets
   EXPECT_FALSE(c.access(0, false).hit);
@@ -85,18 +91,18 @@ TEST(Coalescer, DeduplicatesIntoAscendingLineOrder) {
 TEST(SmemConflicts, ConsecutiveWordsConflictFree) {
   std::vector<u64> addrs;
   for (u64 i = 0; i < 32; ++i) addrs.push_back(i * 4);
-  EXPECT_EQ(smem_conflict_degree(addrs, 32), 1u);
+  EXPECT_EQ(conflict_degree(addrs, 32), 1u);
 }
 
 TEST(SmemConflicts, SameWordBroadcastIsFree) {
   std::vector<u64> addrs(32, 64);
-  EXPECT_EQ(smem_conflict_degree(addrs, 32), 1u);
+  EXPECT_EQ(conflict_degree(addrs, 32), 1u);
 }
 
 TEST(SmemConflicts, PowerOfTwoStrideConflicts) {
   std::vector<u64> addrs;
   for (u64 i = 0; i < 32; ++i) addrs.push_back(i * 32 * 4);  // all bank 0
-  EXPECT_EQ(smem_conflict_degree(addrs, 32), 32u);
+  EXPECT_EQ(conflict_degree(addrs, 32), 32u);
 }
 
 TEST(GlobalStore, AllocAlignsAndSeparates) {
