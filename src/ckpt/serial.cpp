@@ -33,9 +33,14 @@ void Writer::end_section() {
   sections_.push_back(std::move(s));
 }
 
-void Reader::enter_section(const std::string& name) {
+void Reader::fail(const char* what) const {
+  throw SnapshotError(std::string(what) + " at byte " +
+                      std::to_string(pos_ - blob_.data()));
+}
+
+void Reader::begin_section(const std::string& name, u64 /*record_size*/) {
   if (in_section_)
-    throw SnapshotError("enter_section('" + name + "') inside '" +
+    throw SnapshotError("begin_section('" + name + "') inside '" +
                         sections_[section_idx_ - 1].name + "'");
   if (section_idx_ >= sections_.size())
     throw SnapshotError("snapshot has no section '" + name + "'");
@@ -43,20 +48,23 @@ void Reader::enter_section(const std::string& name) {
   if (s.name != name)
     throw SnapshotError("snapshot section order mismatch: expected '" + name +
                         "', found '" + s.name + "'");
-  pos_ = s.offset;
-  section_end_ = s.offset + s.len;
+  if (s.offset > blob_.size() || s.len > blob_.size() - s.offset)
+    throw SnapshotError("snapshot section '" + name +
+                        "' extends past the end of the blob");
+  pos_ = blob_.data() + s.offset;
+  end_ = pos_ + s.len;
   section_idx_ += 1;
   in_section_ = true;
 }
 
-void Reader::leave_section() {
-  if (!in_section_) throw SnapshotError("leave_section outside any section");
+void Reader::end_section() {
+  if (!in_section_) throw SnapshotError("end_section outside any section");
   const Section& s = sections_[section_idx_ - 1];
-  if (pos_ != section_end_)
+  if (pos_ != end_)
     throw SnapshotError("snapshot section '" + s.name + "' size mismatch: " +
-                        std::to_string(section_end_ - pos_) +
-                        " unread bytes");
+                        std::to_string(end_ - pos_) + " unread bytes");
   in_section_ = false;
+  end_ = blob_.data() + blob_.size();
 }
 
 }  // namespace higpu::ckpt

@@ -2,12 +2,39 @@
 //
 // A Writer appends fixed-width little-endian fields to a byte blob and
 // groups them into named sections; a Reader consumes the same fields in the
-// same order and refuses to run past a section or the blob (a malformed or
-// version-skewed snapshot throws instead of silently corrupting simulator
-// state). Field-by-field serialization (never memcpy of whole structs) keeps
-// the format independent of struct padding, so two snapshots of identical
-// device state are byte-identical — which is what makes hash() comparisons
-// and the per-section divergence diff meaningful.
+// same order. Field-by-field serialization (never memcpy of whole structs)
+// keeps the format independent of struct padding, so two snapshots of
+// identical device state are byte-identical — which is what makes hash()
+// comparisons and the per-section divergence diff meaningful.
+//
+// Both archives share one field interface, so each snapshotted component
+// lists its state once, in a template visitor that save and restore both
+// run (`S` is `const Foo` when saving, `Foo` when restoring):
+//
+//   template <class Ar, class S>
+//   void Foo::io_state(Ar& ar, S& s) {
+//     ar.io(s.cycle_);                        // stored at its own width
+//     ar.io(ckpt::as<u16>(s.op_));            // stored width stated here
+//     ar.io(s.words_);                        // u64 count + elements
+//     ar.io(s.entries_, [](auto& a, auto& e) { a.io(e.line); a.io(e.ready); });
+//     ar.io_count(s.banks_.size(), "bank");   // fixed-size array
+//     for (auto& b : s.banks_) ar.io(b.busy_until);
+//   }
+//   void Foo::save(ckpt::Writer& w) const { io_state(w, *this); }
+//   void Foo::restore(ckpt::Reader& r) {
+//     io_state(r, *this);
+//     rebuild_index();                        // restore-only hook
+//   }
+//
+// Code that runs in one direction only — restore-time validation that
+// throws, rebuilding derived state, a save-time canonical form — stays out
+// of the visitor, as a small explicit hook beside it. A component with
+// public save()/restore() is itself a field: `ar.io(cache)`.
+//
+// The Reader refuses to run past its section or the blob, and checks every
+// stored count against the bytes left before allocating for it, so a
+// malformed, crafted or version-skewed snapshot throws SnapshotError
+// instead of corrupting simulator state or attempting a huge allocation.
 //
 // The section table doubles as the diagnosis index: every section records
 // its byte range and hash, and an optional fixed record size (e.g. one L1
@@ -16,8 +43,10 @@
 #pragma once
 
 #include <cstring>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/fields.h"
@@ -38,10 +67,28 @@ struct Section {
   u64 hash = 0;
 };
 
+/// Integers, bools and enums: stored little-endian at sizeof(T) bytes
+/// unless wrapped in as<W>().
+template <class T>
+concept Scalar = std::is_integral_v<T> || std::is_enum_v<T>;
+
+/// A scalar field stored as `W` instead of its own type (e.g. a u8 enum
+/// kept in a 16-bit slot). The Reader refuses a stored value `T` cannot
+/// hold.
+template <class W, class T>
+struct As {
+  T& v;
+};
+template <class W, Scalar T>
+As<W, T> as(T& v) {
+  return {v};
+}
+
 class Writer {
  public:
+  static constexpr bool kReading = false;
+
   void put8(u8 v) { blob_.push_back(v); }
-  void put16(u16 v) { putle(v, 2); }
   void put32(u32 v) { putle(v, 4); }
   void put64(u64 v) { putle(v, 8); }
   void putf64(double v) {
@@ -59,14 +106,49 @@ class Writer {
     put64(s.size());
     put_bytes(s.data(), s.size());
   }
-  void put_u32_vec(const std::vector<u32>& v) {
-    put64(v.size());
-    for (u32 x : v) put32(x);
+
+  // ---- Shared field interface (mirrored by Reader) ------------------------
+  template <Scalar T>
+  void io(const T& v) {
+    putle(static_cast<u64>(v), sizeof(T));
   }
-  void put_u64_vec(const std::vector<u64>& v) {
-    put64(v.size());
-    for (u64 x : v) put64(x);
+  template <class W, class T>
+  void io(As<W, T> f) {
+    putle(static_cast<u64>(static_cast<W>(f.v)), sizeof(W));
   }
+  void io(const std::string& s) { put_string(s); }
+  /// u64 element count, then the elements (bytes copied in bulk).
+  template <Scalar T>
+  void io(const std::vector<T>& v) {
+    put64(v.size());
+    if constexpr (sizeof(T) == 1 && !std::is_same_v<T, bool>)
+      put_bytes(v.data(), v.size());
+    else
+      for (const T& x : v) io(x);
+  }
+  /// u64 element count, then `each(*this, element)` per element.
+  template <class T, class F>
+  void io(const std::vector<T>& v, F&& each) {
+    put64(v.size());
+    for (const T& e : v) each(*this, e);
+  }
+  /// A map's entries in key order. The visitor stores their count `n`
+  /// itself, at the width it states.
+  template <class K, class V>
+  void io_entries(const std::map<K, V>& m, u64 /*n*/) {
+    for (const auto& [k, v] : m) {
+      io(k);
+      io(v);
+    }
+  }
+  /// A component with its own save()/restore().
+  template <class C>
+    requires requires(const C& c, Writer& w) { c.save(w); }
+  void io(const C& c) {
+    c.save(*this);
+  }
+  /// Length of a fixed-size array, verified against the restoring device.
+  void io_count(u64 n, const char* /*what*/) { put64(n); }
 
   void begin_section(std::string name, u64 record_size = 0);
   void end_section();
@@ -104,7 +186,7 @@ void put_fields(Writer& w, const R& rec) {
     else if constexpr (std::is_floating_point_v<T>)
       w.putf64(static_cast<double>(v));
     else if constexpr (std::is_same_v<T, std::string>) w.put_string(v);
-    else if constexpr (std::is_same_v<T, std::vector<u32>>) w.put_u32_vec(v);
+    else if constexpr (std::is_same_v<T, std::vector<u32>>) w.io(v);
     else static_assert(kNoCodec<T>, "no binary encoding for this field type");
   });
 }
@@ -117,11 +199,15 @@ class SnapshotError : public std::runtime_error {
 
 class Reader {
  public:
+  static constexpr bool kReading = true;
+
   Reader(const std::vector<u8>& blob, const std::vector<Section>& sections)
-      : blob_(blob), sections_(sections) {}
+      : blob_(blob),
+        sections_(sections),
+        pos_(blob.data()),
+        end_(blob.data() + blob.size()) {}
 
   u8 get8() { return static_cast<u8>(getle(1)); }
-  u16 get16() { return static_cast<u16>(getle(2)); }
   u32 get32() { return static_cast<u32>(getle(4)); }
   u64 get64() { return getle(8); }
   double getf64() {
@@ -134,61 +220,118 @@ class Reader {
   void get_bytes(void* p, size_t n) {
     if (n == 0) return;
     need(n);
-    std::memcpy(p, blob_.data() + pos_, n);
+    std::memcpy(p, pos_, n);
     pos_ += n;
   }
   std::string get_string() {
-    const u64 n = get64();
-    need(n);
-    std::string s(reinterpret_cast<const char*>(blob_.data() + pos_),
-                  static_cast<size_t>(n));
-    pos_ += static_cast<size_t>(n);
+    std::string s;
+    io(s);
     return s;
   }
-  std::vector<u32> get_u32_vec() {
-    const u64 n = get64();
-    std::vector<u32> v(static_cast<size_t>(n));
-    for (u64 i = 0; i < n; ++i) v[static_cast<size_t>(i)] = get32();
-    return v;
+
+  // ---- Shared field interface (mirrors Writer) ----------------------------
+  template <Scalar T>
+  void io(T& v) {
+    v = from_raw<T>(getle(sizeof(T)));
   }
-  std::vector<u64> get_u64_vec() {
-    const u64 n = get64();
-    std::vector<u64> v(static_cast<size_t>(n));
-    for (u64 i = 0; i < n; ++i) v[static_cast<size_t>(i)] = get64();
-    return v;
+  template <class W, class T>
+  void io(As<W, T> f) {
+    const u64 raw = getle(sizeof(W));
+    f.v = from_raw<T>(raw);
+    if (static_cast<W>(f.v) != static_cast<W>(raw))
+      fail("snapshot field value out of range");
+  }
+  void io(std::string& s) {
+    s.resize(get_count<1>());
+    get_bytes(s.data(), s.size());
+  }
+  template <Scalar T>
+  void io(std::vector<T>& v) {
+    v.resize(get_count<sizeof(T)>());
+    if constexpr (sizeof(T) == 1 && !std::is_same_v<T, bool>)
+      get_bytes(v.data(), v.size());
+    else
+      for (T& x : v) io(x);
+  }
+  /// Every element occupies at least one byte, which bounds the count.
+  template <class T, class F>
+  void io(std::vector<T>& v, F&& each) {
+    v.resize(get_count<1>());
+    for (T& e : v) each(*this, e);
+  }
+  /// Replace `m` with `n` entries (`n` as stored by the visitor). Entries
+  /// are inserted as they are read, so a crafted `n` ends in an underrun.
+  template <class K, class V>
+  void io_entries(std::map<K, V>& m, u64 n) {
+    m.clear();
+    for (u64 i = 0; i < n; ++i) {
+      K k{};
+      io(k);
+      io(m[k]);
+    }
+  }
+  template <class C>
+    requires requires(C& c, Reader& r) { c.restore(r); }
+  void io(C& c) {
+    c.restore(*this);
+  }
+  void io_count(u64 n, const char* what) {
+    if (get64() != n)
+      throw SnapshotError(std::string("snapshot ") + what + " count mismatch");
   }
 
   /// Sections are read in serialization order; entering one checks the name
   /// and positions the cursor, leaving one checks the full payload was
   /// consumed — a component that reads more or less than it saved fails
-  /// loudly at the section boundary, not megabytes later.
-  void enter_section(const std::string& name);
-  void leave_section();
+  /// loudly at the section boundary, not megabytes later. Inside a section
+  /// no read may cross its end. `record_size` is the Writer's diagnosis
+  /// hint and is not checked.
+  void begin_section(const std::string& name, u64 record_size = 0);
+  void end_section();
   /// Discard the rest of the current section (intentionally skipped state).
-  void skip_to_section_end() {
-    if (in_section_) pos_ = section_end_;
-  }
+  void skip_to_section_end() { pos_ = end_; }
 
  private:
+  template <class T>
+  static T from_raw(u64 raw) {
+    if constexpr (std::is_enum_v<T>)
+      return static_cast<T>(static_cast<std::underlying_type_t<T>>(raw));
+    else
+      return static_cast<T>(raw);
+  }
   u64 getle(int n) {
     need(static_cast<size_t>(n));
     u64 v = 0;
     for (int i = 0; i < n; ++i)
-      v |= static_cast<u64>(blob_[pos_ + static_cast<size_t>(i)]) << (8 * i);
-    pos_ += static_cast<size_t>(n);
+      v |= static_cast<u64>(pos_[i]) << (8 * i);
+    pos_ += n;
     return v;
   }
+  /// Throws SnapshotError(`what` at the cursor). Out of line, so the
+  /// per-field checks stay small enough to inline.
+  [[noreturn]] void fail(const char* what) const;
+  /// Bytes left before the end of the current section (or of the blob).
+  size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
   void need(size_t n) const {
-    if (pos_ + n > blob_.size())
-      throw SnapshotError("snapshot blob underrun at byte " +
-                          std::to_string(pos_));
+    if (n > remaining()) fail("snapshot blob underrun");
+  }
+  /// A stored element count, refused unless that many `kElemBytes`-byte
+  /// elements fit in the bytes left.
+  template <size_t kElemBytes>
+  size_t get_count() {
+    const u64 n = get64();
+    if (n > remaining() / kElemBytes)
+      fail("snapshot count exceeds the bytes left");
+    return static_cast<size_t>(n);
   }
 
   const std::vector<u8>& blob_;
   const std::vector<Section>& sections_;
-  size_t pos_ = 0;
+  // The cursor is a pointer rather than an offset, so stores into restored
+  // u64 fields cannot alias it and it stays in a register across reads.
+  const u8* pos_;
+  const u8* end_;  // end of the current section, or of the blob outside one
   size_t section_idx_ = 0;
-  size_t section_end_ = 0;
   bool in_section_ = false;
 };
 

@@ -10,71 +10,76 @@ namespace higpu::ckpt {
 
 namespace {
 
-void put_operand(Writer& w, const isa::Operand& o) {
-  w.put8(static_cast<u8>(o.kind));
-  w.put16(o.reg);
-  w.put32(o.imm);
-}
-
-isa::Operand get_operand(Reader& r) {
-  isa::Operand o;
-  o.kind = static_cast<isa::OperandKind>(r.get8());
-  o.reg = r.get16();
-  o.imm = r.get32();
-  return o;
-}
-
-void put_program(Writer& w, const isa::KernelProgram& p) {
-  w.put_string(p.name());
-  w.put16(p.num_regs());
-  w.put16(p.num_preds());
-  w.put32(p.shared_bytes());
-  w.put32(p.num_params());
-  w.put64(p.code().size());
-  for (const isa::Instruction& ins : p.code()) {
-    w.put16(static_cast<u16>(ins.op));
-    w.put16(static_cast<u16>(ins.guard));
-    w.putb(ins.guard_neg);
-    w.put16(ins.dst);
-    for (const isa::Operand& o : ins.src) put_operand(w, o);
-    w.put8(static_cast<u8>(ins.cmp));
-    w.put8(static_cast<u8>(ins.dtype));
-    w.put16(static_cast<u16>(ins.pred_src));
-    w.put8(static_cast<u8>(ins.sreg));
-    w.put32(ins.target);
-    w.put32(ins.reconv_pc);
-    w.put32(static_cast<u32>(ins.mem_offset));
-  }
-}
-
-isa::ProgramPtr get_program(Reader& r) {
-  std::string name = r.get_string();
-  const u16 num_regs = r.get16();
-  const u16 num_preds = r.get16();
-  const u32 shared_bytes = r.get32();
-  const u32 num_params = r.get32();
-  const u64 n = r.get64();
+/// A KernelProgram's stored fields (the program itself is immutable, so
+/// decoding builds this record and constructs the program from it).
+struct ProgramRecord {
+  std::string name;
+  u16 num_regs = 0;
+  u16 num_preds = 0;
+  u32 shared_bytes = 0;
+  u32 num_params = 0;
   std::vector<isa::Instruction> code;
-  code.reserve(static_cast<size_t>(n));
-  for (u64 i = 0; i < n; ++i) {
-    isa::Instruction ins;
-    ins.op = static_cast<isa::Op>(r.get16());
-    ins.guard = static_cast<i16>(r.get16());
-    ins.guard_neg = r.getb();
-    ins.dst = r.get16();
-    for (isa::Operand& o : ins.src) o = get_operand(r);
-    ins.cmp = static_cast<isa::CmpOp>(r.get8());
-    ins.dtype = static_cast<isa::DType>(r.get8());
-    ins.pred_src = static_cast<i16>(r.get16());
-    ins.sreg = static_cast<isa::SReg>(r.get8());
-    ins.target = r.get32();
-    ins.reconv_pc = r.get32();
-    ins.mem_offset = static_cast<i32>(r.get32());
-    code.push_back(ins);
-  }
-  return std::make_shared<const isa::KernelProgram>(
-      std::move(name), std::move(code), num_regs, num_preds, shared_bytes,
-      num_params);
+};
+
+template <class Ar, class P>
+void io_program(Ar& ar, P& p) {
+  ar.io(p.name);
+  ar.io(p.num_regs);
+  ar.io(p.num_preds);
+  ar.io(p.shared_bytes);
+  ar.io(p.num_params);
+  ar.io(p.code, [](auto& a, auto& ins) {
+    a.io(as<u16>(ins.op));
+    a.io(ins.guard);
+    a.io(ins.guard_neg);
+    a.io(ins.dst);
+    for (auto& o : ins.src) {
+      a.io(o.kind);
+      a.io(o.reg);
+      a.io(o.imm);
+    }
+    a.io(ins.cmp);
+    a.io(ins.dtype);
+    a.io(ins.pred_src);
+    a.io(ins.sreg);
+    a.io(ins.target);
+    a.io(ins.reconv_pc);
+    a.io(ins.mem_offset);
+  });
+}
+
+void io_program(Writer& w, const isa::ProgramPtr& p) {
+  const ProgramRecord rec{p->name(),         p->num_regs(),   p->num_preds(),
+                          p->shared_bytes(), p->num_params(), p->code()};
+  io_program(w, rec);
+}
+
+void io_program(Reader& r, isa::ProgramPtr& p) {
+  ProgramRecord rec;
+  io_program(r, rec);
+  p = std::make_shared<const isa::KernelProgram>(
+      std::move(rec.name), std::move(rec.code), rec.num_regs, rec.num_preds,
+      rec.shared_bytes, rec.num_params);
+}
+
+/// Everything between the frame header and the checksum trailer.
+template <class Ar, class S>
+void io_body(Ar& ar, S& snap) {
+  // Capture metadata (mirrors the cheap-access copies on Snapshot).
+  ar.io(snap.cycle);
+  ar.io(snap.sync_seq);
+  ar.io(snap.launch_count);
+  ar.io(snap.now_ns);
+  ar.io(snap.target);
+  ar.io(snap.sections, [](auto& a, auto& s) {
+    a.io(s.name);
+    a.io(as<u64>(s.offset));
+    a.io(as<u64>(s.len));
+    a.io(s.record_size);
+    a.io(s.hash);
+  });
+  ar.io(snap.blob);
+  ar.io(snap.programs, [](auto& a, auto& p) { io_program(a, p); });
 }
 
 }  // namespace
@@ -84,28 +89,7 @@ std::vector<u8> encode_snapshot(const Snapshot& snap) {
   w.put64(kWireMagic);
   w.put32(kWireVersion);
   w.put32(Snapshot::kVersion);
-
-  // Capture metadata (mirrors the cheap-access copies on Snapshot).
-  w.put64(snap.cycle);
-  w.put64(snap.sync_seq);
-  w.put64(snap.launch_count);
-  w.put64(static_cast<u64>(snap.now_ns));
-  w.put64(snap.target);
-
-  w.put64(snap.sections.size());
-  for (const Section& s : snap.sections) {
-    w.put_string(s.name);
-    w.put64(s.offset);
-    w.put64(s.len);
-    w.put64(s.record_size);
-    w.put64(s.hash);
-  }
-
-  w.put64(snap.blob.size());
-  w.put_bytes(snap.blob.data(), snap.blob.size());
-
-  w.put64(snap.programs.size());
-  for (const isa::ProgramPtr& p : snap.programs) put_program(w, *p);
+  io_body(w, snap);
 
   // Trailing checksum over everything framed so far: a truncated or
   // bit-flipped stream fails before any of it is interpreted as state.
@@ -126,7 +110,7 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
               << (8 * i);
   const u64 actual = fnv1a(bytes.data(), bytes.size() - 8);
   if (stored != actual) {
-    char buf[80];
+    char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "snapshot frame checksum mismatch (stored %016llx, "
                   "computed %016llx)",
@@ -135,11 +119,11 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
     throw SnapshotError(buf);
   }
 
-  // The frame body is one unnamed stream; reuse Reader's bounds-checked
-  // primitives with an empty section table.
-  const std::vector<u8> body(bytes.begin(), bytes.end() - 8);
-  const std::vector<Section> no_sections;
-  Reader r(body, no_sections);
+  // The frame body is one section of the stream, so no read reaches into
+  // the trailer and every body byte must be consumed.
+  const std::vector<Section> frame{{"frame", 0, bytes.size() - 8, 0, 0}};
+  Reader r(bytes, frame);
+  r.begin_section("frame");
 
   if (r.get64() != kWireMagic)
     throw SnapshotError("not a framed snapshot (bad wire magic)");
@@ -154,34 +138,16 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
                         std::to_string(Snapshot::kVersion));
 
   auto snap = std::make_shared<Snapshot>();
-  snap->cycle = r.get64();
-  snap->sync_seq = r.get64();
-  snap->launch_count = r.get64();
-  snap->now_ns = static_cast<NanoSec>(r.get64());
-  snap->target = r.get64();
-
-  const u64 num_sections = r.get64();
-  snap->sections.reserve(static_cast<size_t>(num_sections));
-  for (u64 i = 0; i < num_sections; ++i) {
-    Section s;
-    s.name = r.get_string();
-    s.offset = static_cast<size_t>(r.get64());
-    s.len = static_cast<size_t>(r.get64());
-    s.record_size = r.get64();
-    s.hash = r.get64();
-    snap->sections.push_back(std::move(s));
-  }
-
-  const u64 blob_len = r.get64();
-  snap->blob.resize(static_cast<size_t>(blob_len));
-  r.get_bytes(snap->blob.data(), snap->blob.size());
+  io_body(r, *snap);
+  r.end_section();
 
   // Per-section integrity: recompute each section's hash over the received
   // blob. The frame checksum already rules out transport corruption; this
   // catches a frame assembled from a blob that was corrupted *before*
   // encoding, and names the damaged component either way.
+  const size_t blob_len = snap->blob.size();
   for (const Section& s : snap->sections) {
-    if (s.offset + s.len > snap->blob.size())
+    if (s.offset > blob_len || s.len > blob_len - s.offset)
       throw SnapshotError("snapshot section '" + s.name +
                           "' extends past the end of the blob");
     if (fnv1a(snap->blob.data() + s.offset, s.len) != s.hash)
@@ -189,10 +155,6 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
                           "' corrupted in transit (stored hash does not "
                           "match its contents)");
   }
-
-  const u64 num_programs = r.get64();
-  snap->programs.reserve(static_cast<size_t>(num_programs));
-  for (u64 i = 0; i < num_programs; ++i) snap->programs.push_back(get_program(r));
   return snap;
 }
 

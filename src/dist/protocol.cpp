@@ -56,16 +56,13 @@ void put_snapshot_opt(ckpt::Writer& w, const ckpt::SnapshotPtr& snap) {
     return;
   }
   w.putb(true);
-  const std::vector<u8> framed = ckpt::encode_snapshot(*snap);
-  w.put64(framed.size());
-  w.put_bytes(framed.data(), framed.size());
+  w.io(ckpt::encode_snapshot(*snap));
 }
 
 ckpt::SnapshotPtr get_snapshot_opt(ckpt::Reader& r) {
   if (!r.getb()) return nullptr;
-  const u64 n = r.get64();
-  std::vector<u8> framed(static_cast<size_t>(n));
-  r.get_bytes(framed.data(), framed.size());
+  std::vector<u8> framed;
+  r.io(framed);
   // decode_snapshot revalidates the inner frame (checksum, magic, per-
   // section hashes), so snapshot corruption is caught even if the outer
   // frame survived.
@@ -95,7 +92,7 @@ void get_fields(ckpt::Reader& r, R& rec) {
     } else {
       static_assert(std::is_same_v<T, std::vector<u32>>,
                     "no binary decoding for this field type");
-      v = r.get_u32_vec();
+      r.io(v);
     }
   });
 }

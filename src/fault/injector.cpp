@@ -71,27 +71,20 @@ Cycle FaultInjector::next_trigger_cycle(Cycle now) const {
   return kNeverCycle;
 }
 
-void FaultInjector::save_state(ckpt::Writer& w) const {
-  w.put8(static_cast<u8>(mode_));
-  w.put32(sm_);
-  w.put64(start_);
-  w.put64(end_);
-  w.put32(bit_);
-  w.put32(sm_offset_);
-  w.put64(corruptions_);
-  w.put64(diverted_);
+template <class Ar, class S>
+void FaultInjector::io_state(Ar& ar, S& s) {
+  ar.io(ckpt::as<u8>(s.mode_));
+  ar.io(s.sm_);
+  ar.io(s.start_);
+  ar.io(s.end_);
+  ar.io(s.bit_);
+  ar.io(s.sm_offset_);
+  ar.io(s.corruptions_);
+  ar.io(s.diverted_);
 }
 
-void FaultInjector::restore_state(ckpt::Reader& r) {
-  mode_ = static_cast<Mode>(r.get8());
-  sm_ = r.get32();
-  start_ = r.get64();
-  end_ = r.get64();
-  bit_ = r.get32();
-  sm_offset_ = r.get32();
-  corruptions_ = r.get64();
-  diverted_ = r.get64();
-}
+void FaultInjector::save_state(ckpt::Writer& w) const { io_state(w, *this); }
+void FaultInjector::restore_state(ckpt::Reader& r) { io_state(r, *this); }
 
 void FaultInjector::on_rollback() {
   if (mode_ == Mode::kDroop || mode_ == Mode::kTransientSm)

@@ -51,6 +51,8 @@ class FaultInjector final : public sim::IFaultHook {
 
  private:
   enum class Mode { kNone, kDroop, kTransientSm, kPermanentSm, kScheduler };
+  template <class Ar, class S>
+  static void io_state(Ar& ar, S& s);
   Mode mode_ = Mode::kNone;
   u32 sm_ = 0;
   Cycle start_ = 0;

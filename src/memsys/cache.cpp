@@ -63,25 +63,19 @@ void SetAssocCache::clear() {
   use_counter_ = 0;
 }
 
-void SetAssocCache::save(ckpt::Writer& w) const {
-  for (const Way& way : ways_) {
-    w.put8(way.valid ? 1 : 0);
-    w.put8(way.dirty ? 1 : 0);
-    w.put64(way.tag);
-    w.put64(way.lru);
+template <class Ar, class S>
+void SetAssocCache::io_state(Ar& ar, S& s) {
+  for (auto& way : s.ways_) {
+    ar.io(way.valid);
+    ar.io(way.dirty);
+    ar.io(way.tag);
+    ar.io(way.lru);
   }
-  w.put64(use_counter_);
+  ar.io(s.use_counter_);
 }
 
-void SetAssocCache::restore(ckpt::Reader& r) {
-  for (Way& way : ways_) {
-    way.valid = r.get8() != 0;
-    way.dirty = r.get8() != 0;
-    way.tag = r.get64();
-    way.lru = r.get64();
-  }
-  use_counter_ = r.get64();
-}
+void SetAssocCache::save(ckpt::Writer& w) const { io_state(w, *this); }
+void SetAssocCache::restore(ckpt::Reader& r) { io_state(r, *this); }
 
 bool SetAssocCache::invalidate_line(u64 line_addr) {
   const auto [set, tag] = slot_of(line_addr);

@@ -66,6 +66,9 @@ class SetAssocCache {
   u64 set_record_bytes() const { return 18ull * assoc_; }
 
  private:
+  template <class Ar, class S>
+  static void io_state(Ar& ar, S& s);
+
   struct Way {
     bool valid = false;
     bool dirty = false;

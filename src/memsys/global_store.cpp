@@ -44,17 +44,13 @@ void GlobalStore::read_block(void* dst, DevPtr src, u64 bytes) const {
   std::memcpy(dst, data_.data() + src, bytes);
 }
 
-void GlobalStore::save(ckpt::Writer& w) const {
-  w.put32(next_);
-  w.put64(data_.size());
-  w.put_bytes(data_.data(), data_.size());
+template <class Ar, class S>
+void GlobalStore::io_state(Ar& ar, S& s) {
+  ar.io(s.next_);
+  ar.io(s.data_);
 }
 
-void GlobalStore::restore(ckpt::Reader& r) {
-  next_ = r.get32();
-  const u64 n = r.get64();
-  data_.assign(static_cast<size_t>(n), 0);
-  r.get_bytes(data_.data(), data_.size());
-}
+void GlobalStore::save(ckpt::Writer& w) const { io_state(w, *this); }
+void GlobalStore::restore(ckpt::Reader& r) { io_state(r, *this); }
 
 }  // namespace higpu::memsys

@@ -59,6 +59,8 @@ class GlobalStore {
 
  private:
   static constexpr DevPtr kBase = 256;  // keep nullptr-like 0 unmapped
+  template <class Ar, class S>
+  static void io_state(Ar& ar, S& s);
   void ensure(u64 end);
   u32 read32_grow(DevPtr addr) const;
   void write32_grow(DevPtr addr, u32 value);

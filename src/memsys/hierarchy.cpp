@@ -23,6 +23,26 @@ MemHierarchy::MemHierarchy(u32 num_sms, const MemParams& params)
     l1_.emplace_back(params.l1_size, params.l1_assoc, params.line_bytes);
 }
 
+// The one list of hierarchy counters, in snapshot order.
+const MemHierarchy::Counter MemHierarchy::kCounters[] = {
+    {"l1_hits", &MemHierarchy::l1_hits_},
+    {"l1_misses", &MemHierarchy::l1_misses_},
+    {"l1_write_hits", &MemHierarchy::l1_write_hits_},
+    {"l1_write_misses", &MemHierarchy::l1_write_misses_},
+    {"l1_mshr_merges", &MemHierarchy::l1_mshr_merges_},
+    {"l1_writebacks", &MemHierarchy::l1_writebacks_},
+    {"l1_mshr_stalls", &MemHierarchy::l1_mshr_stalls_},
+    {"l1_mshr_stall_cycles", &MemHierarchy::l1_mshr_stall_cycles_},
+    {"l1_write_through", &MemHierarchy::l1_write_through_},
+    {"l2_hits", &MemHierarchy::l2_hits_},
+    {"l2_misses", &MemHierarchy::l2_misses_},
+    {"dram_reads", &MemHierarchy::dram_reads_},
+    {"dram_writebacks", &MemHierarchy::dram_writebacks_},
+    {"dram_row_hits", &MemHierarchy::dram_row_hits_},
+    {"dram_row_misses", &MemHierarchy::dram_row_misses_},
+    {"atomics", &MemHierarchy::atomics_},
+};
+
 void MemHierarchy::set_obs_tracer(obs::Tracer* t) {
   obs_ = t;
   obs_dram_track_ = 0;
@@ -43,40 +63,15 @@ void MemHierarchy::reset() {
   std::fill(dram_channel_free_.begin(), dram_channel_free_.end(), 0);
   std::fill(dram_banks_.begin(), dram_banks_.end(), DramBank{});
   for (Mshr& m : mshr_) m = Mshr{};
-  l1_hits_ = l1_misses_ = 0;
-  l1_write_hits_ = l1_write_misses_ = 0;
-  l1_mshr_merges_ = l1_writebacks_ = 0;
-  l1_mshr_stalls_ = l1_mshr_stall_cycles_ = 0;
-  l1_write_through_ = 0;
-  l2_hits_ = l2_misses_ = 0;
-  dram_reads_ = dram_writebacks_ = 0;
-  dram_row_hits_ = dram_row_misses_ = 0;
-  atomics_ = 0;
+  for (const Counter& c : kCounters) this->*c.field = 0;
 }
 
 StatSet MemHierarchy::stats() const {
   StatSet s;
   // Counters appear only once nonzero, mirroring StatSet entries that were
   // created on first add().
-  auto put = [&s](const char* name, u64 v) {
-    if (v) s.add(name, v);
-  };
-  put("l1_hits", l1_hits_);
-  put("l1_misses", l1_misses_);
-  put("l1_write_hits", l1_write_hits_);
-  put("l1_write_misses", l1_write_misses_);
-  put("l1_mshr_merges", l1_mshr_merges_);
-  put("l1_mshr_stalls", l1_mshr_stalls_);
-  put("l1_mshr_stall_cycles", l1_mshr_stall_cycles_);
-  put("l1_write_through", l1_write_through_);
-  put("l1_writebacks", l1_writebacks_);
-  put("l2_hits", l2_hits_);
-  put("l2_misses", l2_misses_);
-  put("dram_reads", dram_reads_);
-  put("dram_writebacks", dram_writebacks_);
-  put("dram_row_hits", dram_row_hits_);
-  put("dram_row_misses", dram_row_misses_);
-  put("atomics", atomics_);
+  for (const Counter& c : kCounters)
+    if (this->*c.field) s.add(c.name, this->*c.field);
   return s;
 }
 
@@ -341,89 +336,48 @@ MemResponse MemHierarchy::access_atomic(u32 sm, u64 line_addr, Cycle now) {
           t + 1};
 }
 
-void MemHierarchy::save(ckpt::Writer& w) const {
-  for (size_t i = 0; i < l1_.size(); ++i) {
-    w.begin_section("l1[" + std::to_string(i) + "]",
-                    l1_[i].set_record_bytes());
-    l1_[i].save(w);
-    w.end_section();
+template <class Ar, class S>
+void MemHierarchy::io_state(Ar& ar, S& s) {
+  for (size_t i = 0; i < s.l1_.size(); ++i) {
+    ar.begin_section("l1[" + std::to_string(i) + "]",
+                     s.l1_[i].set_record_bytes());
+    ar.io(s.l1_[i]);
+    ar.end_section();
   }
-  w.begin_section("l2", l2_.set_record_bytes());
-  l2_.save(w);
-  w.end_section();
+  ar.begin_section("l2", s.l2_.set_record_bytes());
+  ar.io(s.l2_);
+  ar.end_section();
 
   // The dram section holds bank records only (fixed 16-byte records), so a
   // snapshot diff maps its first differing byte to a real bank index;
   // channel-bus bandwidth counters live in the bookkeeping section.
-  w.begin_section("dram", /*record_size=*/16);
-  for (const DramBank& b : dram_banks_) {
-    w.put64(b.busy_until);
-    w.put64(b.open_row);
+  ar.begin_section("dram", /*record_size=*/16);
+  for (auto& b : s.dram_banks_) {
+    ar.io(b.busy_until);
+    ar.io(b.open_row);
   }
-  w.end_section();
+  ar.end_section();
 
-  w.begin_section("memsys");
-  w.put_u64_vec(dram_channel_free_);
-  w.put_u64_vec(l1_port_free_);
-  w.put_u64_vec(l2_bank_free_);
-  w.put64(mshr_.size());
-  for (const Mshr& m : mshr_) {
-    w.put64(m.entries.size());
-    for (const MshrEntry& e : m.entries) {
-      w.put64(e.line);
-      w.put64(e.ready);
-      w.putb(e.fill_dirty);
-    }
-  }
-  for (u64 c : {l1_hits_, l1_misses_, l1_write_hits_, l1_write_misses_,
-                l1_mshr_merges_, l1_writebacks_, l1_mshr_stalls_,
-                l1_mshr_stall_cycles_, l1_write_through_, l2_hits_,
-                l2_misses_, dram_reads_, dram_writebacks_, dram_row_hits_,
-                dram_row_misses_, atomics_})
-    w.put64(c);
-  w.end_section();
+  ar.begin_section("memsys");
+  ar.io(s.dram_channel_free_);
+  ar.io(s.l1_port_free_);
+  ar.io(s.l2_bank_free_);
+  ar.io_count(s.mshr_.size(), "MSHR array");
+  for (auto& m : s.mshr_)
+    ar.io(m.entries, [](auto& a, auto& e) {
+      a.io(e.line);
+      a.io(e.ready);
+      a.io(e.fill_dirty);
+    });
+  for (const Counter& c : kCounters) ar.io(s.*c.field);
+  ar.end_section();
 }
 
+void MemHierarchy::save(ckpt::Writer& w) const { io_state(w, *this); }
+
 void MemHierarchy::restore(ckpt::Reader& r) {
-  for (size_t i = 0; i < l1_.size(); ++i) {
-    r.enter_section("l1[" + std::to_string(i) + "]");
-    l1_[i].restore(r);
-    r.leave_section();
-  }
-  r.enter_section("l2");
-  l2_.restore(r);
-  r.leave_section();
-
-  r.enter_section("dram");
-  for (DramBank& b : dram_banks_) {
-    b.busy_until = r.get64();
-    b.open_row = r.get64();
-  }
-  r.leave_section();
-
-  r.enter_section("memsys");
-  dram_channel_free_ = r.get_u64_vec();
-  l1_port_free_ = r.get_u64_vec();
-  l2_bank_free_ = r.get_u64_vec();
-  const u64 n_mshr = r.get64();
-  if (n_mshr != mshr_.size())
-    throw ckpt::SnapshotError("snapshot MSHR array count mismatch");
-  for (Mshr& m : mshr_) {
-    m.entries.resize(static_cast<size_t>(r.get64()));
-    for (MshrEntry& e : m.entries) {
-      e.line = r.get64();
-      e.ready = r.get64();
-      e.fill_dirty = r.getb();
-    }
-    refresh_next_ready(m);
-  }
-  for (u64* c : {&l1_hits_, &l1_misses_, &l1_write_hits_, &l1_write_misses_,
-                 &l1_mshr_merges_, &l1_writebacks_, &l1_mshr_stalls_,
-                 &l1_mshr_stall_cycles_, &l1_write_through_, &l2_hits_,
-                 &l2_misses_, &dram_reads_, &dram_writebacks_,
-                 &dram_row_hits_, &dram_row_misses_, &atomics_})
-    *c = r.get64();
-  r.leave_section();
+  io_state(r, *this);
+  for (Mshr& m : mshr_) refresh_next_ready(m);
 }
 
 }  // namespace higpu::memsys

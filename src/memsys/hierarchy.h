@@ -140,6 +140,9 @@ class MemHierarchy {
   }
   void reap_expired_slow(u32 sm, Cycle now);
 
+  template <class Ar, class S>
+  static void io_state(Ar& ar, S& s);
+
   MemParams params_;
   u32 lines_per_row_;                      // dram_row_bytes / line_bytes
   std::vector<SetAssocCache> l1_;          // one per SM
@@ -169,6 +172,13 @@ class MemHierarchy {
   u64 dram_reads_ = 0, dram_writebacks_ = 0;
   u64 dram_row_hits_ = 0, dram_row_misses_ = 0;
   u64 atomics_ = 0;
+  /// The counters above by StatSet name: the one list that drives save,
+  /// restore, reset() and stats().
+  struct Counter {
+    const char* name;
+    u64 MemHierarchy::*field;
+  };
+  static const Counter kCounters[];
 };
 
 }  // namespace higpu::memsys

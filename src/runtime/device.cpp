@@ -6,6 +6,27 @@
 
 namespace higpu::runtime {
 
+namespace {
+
+/// The "meta" section: what format the blob is, and which device
+/// parameters it was captured under.
+struct Meta {
+  u64 magic = 0;
+  u32 version = 0;
+  u64 fingerprint = 0;
+};
+
+template <class Ar, class M>
+void io_meta(Ar& ar, M& meta) {
+  ar.begin_section("meta");
+  ar.io(meta.magic);
+  ar.io(meta.version);
+  ar.io(meta.fingerprint);
+  ar.end_section();
+}
+
+}  // namespace
+
 Device::Device(const sim::GpuParams& gpu_params, const PlatformParams& platform)
     : platform_(platform),
       store_(std::make_unique<memsys::GlobalStore>()),
@@ -207,31 +228,32 @@ u64 Device::params_fingerprint() const {
   return ckpt::fnv1a(w.blob().data(), w.blob().size());
 }
 
+template <class Ar, class S>
+void Device::io_state(Ar& ar, S& s) {
+  // sim_wall_sec_ is real host wall-clock (non-deterministic); it stays out
+  // of the blob so snapshots of identical modelled state hash identically.
+  ar.begin_section("host");
+  ar.io(s.now_ns_);
+  ar.io(s.gpu_cycles_);
+  ar.io(s.synced_upto_);
+  ar.io(s.sync_seq_);
+  ar.end_section();
+
+  ar.begin_section("store", /*record_size=*/1);
+  ar.io(*s.store_);
+  ar.end_section();
+}
+
 ckpt::SnapshotPtr Device::snapshot() { return capture(gpu_->now()); }
 
 ckpt::SnapshotPtr Device::capture(Cycle nominal) {
   const auto wall0 = std::chrono::steady_clock::now();
   auto snap = std::make_shared<ckpt::Snapshot>();
   ckpt::Writer w;
-
-  w.begin_section("meta");
-  w.put64(ckpt::Snapshot::kMagic);
-  w.put32(ckpt::Snapshot::kVersion);
-  w.put64(params_fingerprint());
-  w.end_section();
-
-  // sim_wall_sec_ is real host wall-clock (non-deterministic); it stays out
-  // of the blob so snapshots of identical modelled state hash identically.
-  w.begin_section("host");
-  w.put64(now_ns_);
-  w.put64(gpu_cycles_);
-  w.put64(synced_upto_);
-  w.put64(sync_seq_);
-  w.end_section();
-
-  w.begin_section("store", /*record_size=*/1);
-  store_->save(w);
-  w.end_section();
+  const Meta meta{ckpt::Snapshot::kMagic, ckpt::Snapshot::kVersion,
+                  params_fingerprint()};
+  io_meta(w, meta);
+  io_state(w, *this);
 
   std::unordered_map<const isa::KernelProgram*, u32> prog_index;
   gpu_->save(w, [&](const isa::ProgramPtr& p) -> u32 {
@@ -287,31 +309,21 @@ void Device::restore_impl(const ckpt::Snapshot& s, bool restore_fault) {
   const auto wall0 = std::chrono::steady_clock::now();
   ckpt::Reader r(s.blob, s.sections);
 
-  r.enter_section("meta");
-  if (r.get64() != ckpt::Snapshot::kMagic)
+  Meta meta;
+  io_meta(r, meta);
+  if (meta.magic != ckpt::Snapshot::kMagic)
     throw ckpt::SnapshotError("not a device snapshot (bad magic)");
-  const u32 version = r.get32();
-  if (version != ckpt::Snapshot::kVersion)
-    throw ckpt::SnapshotError("snapshot format v" + std::to_string(version) +
+  if (meta.version != ckpt::Snapshot::kVersion)
+    throw ckpt::SnapshotError("snapshot format v" +
+                              std::to_string(meta.version) +
                               " != supported v" +
                               std::to_string(ckpt::Snapshot::kVersion));
-  if (r.get64() != params_fingerprint())
+  if (meta.fingerprint != params_fingerprint())
     throw ckpt::SnapshotError(
         "snapshot was captured on a device with different GPU/platform "
         "parameters");
-  r.leave_section();
 
-  r.enter_section("host");
-  now_ns_ = r.get64();
-  gpu_cycles_ = r.get64();
-  synced_upto_ = r.get64();
-  sync_seq_ = r.get64();
-  r.leave_section();
-
-  r.enter_section("store");
-  store_->restore(r);
-  r.leave_section();
-
+  io_state(r, *this);
   gpu_->restore(
       r, [&s](u32 idx) -> isa::ProgramPtr { return s.programs.at(idx); },
       restore_fault);

@@ -197,6 +197,9 @@ class Device {
   ckpt::SnapshotPtr capture(Cycle nominal);
   void restore_impl(const ckpt::Snapshot& s, bool restore_fault);
   u64 params_fingerprint() const;
+  /// The host timeline and global-store sections, for save and restore.
+  template <class Ar, class S>
+  static void io_state(Ar& ar, S& s);
 
   PlatformParams platform_;
   std::unique_ptr<memsys::GlobalStore> store_;

@@ -63,29 +63,22 @@ class EdfKernelScheduler final : public sim::IKernelScheduler {
     return it == deadline_.end() ? kNoDeadline : it->second;
   }
 
-  void save_state(ckpt::Writer& w) const override {
-    w.put8(static_cast<u8>(placement_));
-    w.put32(rr_cursor_);
-    w.put32(first_unfinished_);
-    w.put32(static_cast<u32>(deadline_.size()));
-    for (const auto& [stream, ns] : deadline_) {  // std::map: sorted, stable
-      w.put32(stream);
-      w.put64(ns);
-    }
-  }
-  void restore_state(ckpt::Reader& r) override {
-    placement_ = static_cast<Placement>(r.get8());
-    rr_cursor_ = r.get32();
-    first_unfinished_ = r.get32();
-    deadline_.clear();
-    const u32 n = r.get32();
-    for (u32 i = 0; i < n; ++i) {
-      const u32 stream = r.get32();
-      deadline_[stream] = r.get64();
-    }
-  }
+  void save_state(ckpt::Writer& w) const override { io_state(w, *this); }
+  void restore_state(ckpt::Reader& r) override { io_state(r, *this); }
 
  private:
+  template <class Ar, class S>
+  static void io_state(Ar& ar, S& s) {
+    ar.io(s.placement_);
+    ar.io(s.rr_cursor_);
+    ar.io(s.first_unfinished_);
+    // The deadline count is stored as 32 bits; std::map iterates in stream
+    // order, so the bytes are stable.
+    u32 n = static_cast<u32>(s.deadline_.size());
+    ar.io(n);
+    ar.io_entries(s.deadline_, n);
+  }
+
   Placement placement_;
   u32 rr_cursor_ = 0;        // greedy-placement SM round-robin cursor
   u32 first_unfinished_ = 0; // skip the finished launch prefix in O(1)

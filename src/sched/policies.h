@@ -29,16 +29,16 @@ class DefaultKernelScheduler final : public sim::IKernelScheduler {
   std::string name() const override { return "default"; }
   void dispatch(sim::Gpu& gpu) override;
   void reset() override { rr_cursor_ = first_pending_ = 0; }
-  void save_state(ckpt::Writer& w) const override {
-    w.put32(rr_cursor_);
-    w.put32(first_pending_);
-  }
-  void restore_state(ckpt::Reader& r) override {
-    rr_cursor_ = r.get32();
-    first_pending_ = r.get32();
-  }
+  void save_state(ckpt::Writer& w) const override { io_state(w, *this); }
+  void restore_state(ckpt::Reader& r) override { io_state(r, *this); }
 
  private:
+  template <class Ar, class S>
+  static void io_state(Ar& ar, S& s) {
+    ar.io(s.rr_cursor_);
+    ar.io(s.first_pending_);
+  }
+
   u32 rr_cursor_ = 0;  // SM round-robin cursor for fair greedy placement
   u32 first_pending_ = 0;  // skip the fully-dispatched launch prefix
 };
@@ -48,12 +48,8 @@ class SrrsKernelScheduler final : public sim::IKernelScheduler {
   std::string name() const override { return "srrs"; }
   void dispatch(sim::Gpu& gpu) override;
   void reset() override { first_unfinished_ = 0; }
-  void save_state(ckpt::Writer& w) const override {
-    w.put32(first_unfinished_);
-  }
-  void restore_state(ckpt::Reader& r) override {
-    first_unfinished_ = r.get32();
-  }
+  void save_state(ckpt::Writer& w) const override { w.io(first_unfinished_); }
+  void restore_state(ckpt::Reader& r) override { r.io(first_unfinished_); }
 
  private:
   u32 first_unfinished_ = 0;  // skip the finished launch prefix

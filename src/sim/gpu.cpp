@@ -10,7 +10,10 @@
 namespace higpu::sim {
 
 Gpu::Gpu(const GpuParams& params, memsys::GlobalStore* store)
-    : params_(params), store_(store), mem_(params.num_sms, params.mem) {
+    : params_(params),
+      store_(store),
+      mem_(params.num_sms, params.mem),
+      sm_wake_(params.num_sms, kNeverCycle) {
   assert(store != nullptr);
   sms_.reserve(params.num_sms);
   for (u32 i = 0; i < params.num_sms; ++i) {
@@ -360,70 +363,75 @@ void Gpu::on_block_done(const BlockRecord& rec) {
   }
 }
 
+template <class Ar, class S, class ProgIo>
+void Gpu::io_state(Ar& ar, S& s, ProgIo&& prog_io) {
+  ar.begin_section("gpu");
+  ar.io(s.cycle_);
+  ar.io(s.last_arrival_);
+  ar.io(s.last_dispatch_cycle_);
+  ar.io(s.dispatched_this_cycle_);
+  ar.io(s.ff_cycles_);
+  ar.io(s.event_primed_);
+  ar.io(s.dispatch_wake_);
+  // sm_wake_ is sized at construction (all asleep), so a device that never
+  // ran the event engine stores the same table it restores. The wake heap
+  // is not stored: restore rebuilds it from sm_wake_.
+  ar.io(s.sm_wake_);
+  ar.io(ckpt::as<u64>(s.arrival_cursor_));
+  ar.io(s.kernels_finished_);
+
+  ar.io(s.launches_, [&prog_io](auto& a, auto& slot) {
+    if constexpr (Ar::kReading) slot = std::make_unique<LaunchSlot>();
+    auto& l = slot->launch;
+    prog_io(a, l.program);
+    a.io(l.grid.x);
+    a.io(l.grid.y);
+    a.io(l.grid.z);
+    a.io(l.block.x);
+    a.io(l.block.y);
+    a.io(l.block.z);
+    a.io(l.params);
+    a.io(l.hints.start_sm);
+    a.io(l.hints.sm_mask);
+    a.io(l.stream);
+    a.io(l.tag);
+    auto& ks = slot->state;
+    a.io(ks.launch_id);
+    a.io(ks.arrival);
+    a.io(ks.blocks_dispatched);
+    a.io(ks.blocks_done);
+    a.io(ks.total_blocks);
+    a.io(ks.first_dispatch_cycle);
+    a.io(ks.done_cycle);
+  });
+
+  ar.io(s.records_, [](auto& a, auto& rec) {
+    a.io(rec.launch_id);
+    a.io(rec.block_linear);
+    a.io(rec.sm);
+    a.io(rec.intended_sm);
+    a.io(rec.dispatch_cycle);
+    a.io(rec.end_cycle);
+  });
+
+  auto stats = s.stats_.entries();
+  ar.io(stats, [](auto& a, auto& e) {
+    a.io(e.first);
+    a.io(e.second);
+  });
+  if constexpr (Ar::kReading) {
+    s.stats_ = StatSet{};
+    for (const auto& [name, value] : stats) s.stats_.set(name, value);
+  }
+  ar.end_section();
+}
+
 void Gpu::save(
     ckpt::Writer& w,
     const std::function<u32(const isa::ProgramPtr&)>& program_ref) const {
-  w.begin_section("gpu");
-  w.put64(cycle_);
-  w.put64(last_arrival_);
-  w.put64(last_dispatch_cycle_);
-  w.putb(dispatched_this_cycle_);
-  w.put64(ff_cycles_);
-  w.putb(event_primed_);
-  w.put64(dispatch_wake_);
-  if (sm_wake_.empty()) {
-    // Never entered the event engine: serialize the canonical empty wake
-    // table so save -> restore -> save round-trips byte-identically.
-    const std::vector<Cycle> all_asleep(sms_.size(), kNeverCycle);
-    w.put_u64_vec(all_asleep);
-  } else {
-    w.put_u64_vec(sm_wake_);
-  }
-  // The wake heap normalized: one live entry per sleeping SM (stale
-  // lazy-deletion entries are dropped — they are semantic no-ops, and
-  // normalizing keeps snapshots of identical states byte-identical).
-  w.put64(arrival_cursor_);
-  w.put32(kernels_finished_);
-
-  w.put64(launches_.size());
-  for (const auto& slot : launches_) {
-    const KernelLaunch& l = slot->launch;
-    w.put32(program_ref(l.program));
-    for (u32 d : {l.grid.x, l.grid.y, l.grid.z, l.block.x, l.block.y,
-                  l.block.z})
-      w.put32(d);
-    w.put_u32_vec(l.params);
-    w.put32(l.hints.start_sm);
-    w.put64(l.hints.sm_mask);
-    w.put32(l.stream);
-    w.put_string(l.tag);
-    const KernelState& ks = slot->state;
-    w.put32(ks.launch_id);
-    w.put64(ks.arrival);
-    w.put32(ks.blocks_dispatched);
-    w.put32(ks.blocks_done);
-    w.put32(ks.total_blocks);
-    w.put64(ks.first_dispatch_cycle);
-    w.put64(ks.done_cycle);
-  }
-
-  w.put64(records_.size());
-  for (const BlockRecord& rec : records_) {
-    w.put32(rec.launch_id);
-    w.put32(rec.block_linear);
-    w.put32(rec.sm);
-    w.put32(rec.intended_sm);
-    w.put64(rec.dispatch_cycle);
-    w.put64(rec.end_cycle);
-  }
-
-  const auto stat_entries = stats_.entries();
-  w.put64(stat_entries.size());
-  for (const auto& [name, value] : stat_entries) {
-    w.put_string(name);
-    w.put64(value);
-  }
-  w.end_section();
+  io_state(w, *this, [&](ckpt::Writer& a, const isa::ProgramPtr& p) {
+    a.io(program_ref(p));
+  });
 
   w.begin_section("sched");
   w.put_string(ksched_ ? ksched_->name() : "");
@@ -447,18 +455,11 @@ void Gpu::save(
 void Gpu::restore(ckpt::Reader& r,
                   const std::function<isa::ProgramPtr(u32)>& program_of,
                   bool restore_fault) {
-  r.enter_section("gpu");
-  cycle_ = r.get64();
-  last_arrival_ = r.get64();
-  last_dispatch_cycle_ = r.get64();
-  dispatched_this_cycle_ = r.getb();
-  ff_cycles_ = r.get64();
-  event_primed_ = r.getb();
-  dispatch_wake_ = r.get64();
-  sm_wake_ = r.get_u64_vec();
-  // A device that never entered the event engine (dense runs, fresh
-  // devices) has no wake table yet; its snapshot carries an empty one.
-  if (sm_wake_.empty()) sm_wake_.assign(sms_.size(), kNeverCycle);
+  io_state(r, *this, [&](ckpt::Reader& a, isa::ProgramPtr& p) {
+    u32 idx = 0;
+    a.io(idx);
+    p = program_of(idx);
+  });
   if (sm_wake_.size() != sms_.size())
     throw ckpt::SnapshotError("snapshot SM count mismatch");
   // Rebuild the heap from the normalized wake times. Pop order is a strict
@@ -467,85 +468,38 @@ void Gpu::restore(ckpt::Reader& r,
   wake_heap_ = {};
   for (u32 i = 0; i < sm_wake_.size(); ++i)
     if (sm_wake_[i] != kNeverCycle) wake_heap_.push({sm_wake_[i], i});
-  arrival_cursor_ = static_cast<size_t>(r.get64());
-  kernels_finished_ = r.get32();
-
-  const u64 n_launches = r.get64();
-  launches_.clear();
   state_ptrs_.clear();
-  launches_.reserve(static_cast<size_t>(n_launches));
-  for (u64 i = 0; i < n_launches; ++i) {
-    auto slot = std::make_unique<LaunchSlot>();
-    KernelLaunch& l = slot->launch;
-    l.program = program_of(r.get32());
-    l.grid.x = r.get32();
-    l.grid.y = r.get32();
-    l.grid.z = r.get32();
-    l.block.x = r.get32();
-    l.block.y = r.get32();
-    l.block.z = r.get32();
-    l.params = r.get_u32_vec();
-    l.hints.start_sm = r.get32();
-    l.hints.sm_mask = r.get64();
-    l.stream = r.get32();
-    l.tag = r.get_string();
+  for (const auto& slot : launches_) {
+    state_ptrs_.push_back(&slot->state);
     // Traces are derived state: rebuilt (via the process-wide cache), not
     // deserialized. The compile-time stats ride in the stats_ snapshot, so
     // no attach_trace() accounting here. Must happen before the SMs are
     // restored — they re-derive warp.ctrace from the launch.
     if (params_.exec_mode == ExecMode::kBlock)
-      l.trace = blockexec::trace_for(l.program);
-    KernelState& ks = slot->state;
-    ks.launch_id = r.get32();
-    ks.arrival = r.get64();
-    ks.blocks_dispatched = r.get32();
-    ks.blocks_done = r.get32();
-    ks.total_blocks = r.get32();
-    ks.first_dispatch_cycle = r.get64();
-    ks.done_cycle = r.get64();
-    launches_.push_back(std::move(slot));
-    state_ptrs_.push_back(&launches_.back()->state);
+      slot->launch.trace = blockexec::trace_for(slot->launch.program);
   }
 
-  records_.resize(static_cast<size_t>(r.get64()));
-  for (BlockRecord& rec : records_) {
-    rec.launch_id = r.get32();
-    rec.block_linear = r.get32();
-    rec.sm = r.get32();
-    rec.intended_sm = r.get32();
-    rec.dispatch_cycle = r.get64();
-    rec.end_cycle = r.get64();
-  }
-
-  stats_ = StatSet{};
-  const u64 n_stats = r.get64();
-  for (u64 i = 0; i < n_stats; ++i) {
-    const std::string name = r.get_string();
-    stats_.set(name, r.get64());
-  }
-  r.leave_section();
-
-  r.enter_section("sched");
+  r.begin_section("sched");
   const std::string sched_name = r.get_string();
   if ((ksched_ ? ksched_->name() : "") != sched_name)
     throw ckpt::SnapshotError(
         "snapshot kernel scheduler mismatch: captured '" + sched_name +
         "', installed '" + (ksched_ ? ksched_->name() : "") + "'");
   if (ksched_) ksched_->restore_state(r);
-  r.leave_section();
+  r.end_section();
 
   const auto launch_of = [this](u32 id) -> const KernelLaunch* {
     return &launches_.at(id)->launch;
   };
   for (u32 i = 0; i < num_sms(); ++i) {
-    r.enter_section("sm" + std::to_string(i));
+    r.begin_section("sm" + std::to_string(i));
     sms_[i]->restore(r, launch_of);
-    r.leave_section();
+    r.end_section();
   }
 
   mem_.restore(r);
 
-  r.enter_section("fault");
+  r.begin_section("fault");
   const bool had_fault = r.getb();
   if (had_fault && restore_fault && fault_ != nullptr)
     fault_->restore_state(r);
@@ -553,7 +507,7 @@ void Gpu::restore(ckpt::Reader& r,
     // Either no hook is installed now, or a rollback restore deliberately
     // leaves the environment un-rewound: drop the serialized hook state.
     r.skip_to_section_end();
-  r.leave_section();
+  r.end_section();
 
   // A restored run arms its own capture triggers; never fire for points the
   // restored clock has already passed.

@@ -169,6 +169,11 @@ class Gpu {
   /// Pull SM `sm`'s wake time forward to `when` (event engine only); used
   /// by try_dispatch_block so a newly placed block executes immediately.
   void wake_sm(u32 sm, Cycle when);
+  /// The "gpu" section: clock, event-engine wake table, launches and
+  /// their kernel states, block records and GPU counters. `prog_io`
+  /// stores a launch's program as its snapshot program-table index.
+  template <class Ar, class S, class ProgIo>
+  static void io_state(Ar& ar, S& s, ProgIo&& prog_io);
 
   GpuParams params_;
   memsys::GlobalStore* store_;

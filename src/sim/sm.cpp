@@ -427,37 +427,40 @@ void SmCore::exec_superop(Warp& w, const blockexec::SuperOp& sop,
   top.pc += 1;
 }
 
+// The one list of SM counters, in snapshot order. `always` counters are
+// exported even at zero, so the engine equivalence suites pin the issue
+// outcomes and the cycle attribution (obs::SmCycles) when a bucket is
+// empty; the rest appear only once nonzero, mirroring StatSet entries that
+// were created on first add().
+const SmCore::Counter SmCore::kCounters[] = {
+    {"blocks_accepted", &SmCore::blocks_accepted_, false},
+    {"blocks_completed", &SmCore::blocks_completed_, false},
+    {"active_cycles", &SmCore::active_cycles_, false},
+    {"instructions", &SmCore::instructions_, false},
+    {"divergent_branches", &SmCore::divergent_branches_, false},
+    {"barriers", &SmCore::barriers_, false},
+    {"smem_accesses", &SmCore::smem_accesses_, false},
+    {"smem_bank_conflicts", &SmCore::smem_bank_conflicts_, false},
+    {"smem_oob_wraps", &SmCore::smem_oob_wraps_, false},
+    {"global_atomics", &SmCore::global_atomics_, false},
+    {"global_load_transactions", &SmCore::global_load_transactions_, false},
+    {"global_store_transactions", &SmCore::global_store_transactions_, false},
+    {"issue_stall_scoreboard", &SmCore::stall_scoreboard_, true},
+    {"issue_stall_barrier", &SmCore::stall_barrier_, true},
+    {"issue_stall_structural", &SmCore::stall_structural_, true},
+    {"issue_attempts_issued", &SmCore::issued_attempts_, true},
+    {"block_exec_hits", &SmCore::block_exec_hits_, false},
+    {"block_fallback_exits", &SmCore::block_fallback_exits_, false},
+    {"cycles_issued", &SmCore::cycles_issued_, true},
+    {"cycles_stall_scoreboard", &SmCore::cycles_stall_scoreboard_, true},
+    {"cycles_stall_barrier", &SmCore::cycles_stall_barrier_, true},
+    {"cycles_stall_structural", &SmCore::cycles_stall_structural_, true},
+};
+
 StatSet SmCore::snapshot_stats() const {
   StatSet s;
-  // Counters appear only once nonzero, mirroring the behaviour when they
-  // were StatSet entries created on first add().
-  auto put = [&s](const char* name, u64 v) {
-    if (v) s.add(name, v);
-  };
-  put("blocks_accepted", blocks_accepted_);
-  put("blocks_completed", blocks_completed_);
-  put("active_cycles", active_cycles_);
-  put("instructions", instructions_);
-  put("divergent_branches", divergent_branches_);
-  put("barriers", barriers_);
-  put("smem_accesses", smem_accesses_);
-  put("smem_bank_conflicts", smem_bank_conflicts_);
-  put("smem_oob_wraps", smem_oob_wraps_);
-  put("global_atomics", global_atomics_);
-  put("global_load_transactions", global_load_transactions_);
-  put("global_store_transactions", global_store_transactions_);
-  put("block_exec_hits", block_exec_hits_);
-  put("block_fallback_exits", block_fallback_exits_);
-  s.add("issue_attempts_issued", issued_attempts_);
-  s.add("issue_stall_scoreboard", stall_scoreboard_);
-  s.add("issue_stall_barrier", stall_barrier_);
-  s.add("issue_stall_structural", stall_structural_);
-  // Cycle attribution (obs::SmCycles). Unconditional so the engine
-  // equivalence suites pin the classification even when a bucket is zero.
-  s.add("cycles_issued", cycles_issued_);
-  s.add("cycles_stall_scoreboard", cycles_stall_scoreboard_);
-  s.add("cycles_stall_barrier", cycles_stall_barrier_);
-  s.add("cycles_stall_structural", cycles_stall_structural_);
+  for (const Counter& c : kCounters)
+    if (c.always || this->*c.field) s.add(c.name, this->*c.field);
   return s;
 }
 
@@ -794,173 +797,98 @@ void SmCore::complete_warp(Warp& w, Cycle now) {
   }
 }
 
-void SmCore::save(ckpt::Writer& w) const {
-  w.put32(warps_used_);
-  w.put32(blocks_used_);
-  w.put32(regs_used_);
-  w.put32(shared_used_);
-  w.put64(sfu_free_);
-  w.put64(mem_free_);
-  w.put64(age_counter_);
-  w.put64(last_issued_.size());
-  for (i32 s : last_issued_) w.put32(static_cast<u32>(s));
-  for (const std::vector<u32>& order : sched_order_) w.put_u32_vec(order);
-  w.put64(last_settled_);
-  w.putb(progress_);
-  w.put64(quiet_wake_);
-  for (const StallRec& rec : warp_stall_) {
-    w.put64(rec.wake);
-    w.put8(static_cast<u8>(rec.cls));
+template <class Ar, class S>
+void SmCore::io_state(Ar& ar, S& s) {
+  ar.io(s.warps_used_);
+  ar.io(s.blocks_used_);
+  ar.io(s.regs_used_);
+  ar.io(s.shared_used_);
+  ar.io(s.sfu_free_);
+  ar.io(s.mem_free_);
+  ar.io(s.age_counter_);
+  ar.io_count(s.last_issued_.size(), "warp-scheduler");
+  for (auto& slot : s.last_issued_) ar.io(slot);
+  for (auto& order : s.sched_order_) ar.io(order);
+  ar.io(s.last_settled_);
+  ar.io(s.progress_);
+  ar.io(s.quiet_wake_);
+  for (auto& rec : s.warp_stall_) {
+    ar.io(rec.wake);
+    ar.io(rec.cls);
   }
 
-  for (const ResidentBlock& b : blocks_) {
-    w.putb(b.active);
+  for (auto& b : s.blocks_) {
+    ar.io(b.active);
     if (!b.active) continue;
-    w.put32(b.launch_id);
-    w.put32(b.block_linear);
-    w.put32(b.block_idx.x);
-    w.put32(b.block_idx.y);
-    w.put32(b.block_idx.z);
-    w.put32(b.num_warps);
-    w.put32(b.warps_live);
-    w.put32(b.barrier_count);
-    w.put64(b.shared.size());
-    w.put_bytes(b.shared.data(), b.shared.size());
-    w.put32(b.regs_reserved);
-    w.put32(b.shared_reserved);
-    w.put32(b.intended_sm);
-    w.put64(b.dispatch_cycle);
+    ar.io(b.launch_id);
+    ar.io(b.block_linear);
+    ar.io(b.block_idx.x);
+    ar.io(b.block_idx.y);
+    ar.io(b.block_idx.z);
+    ar.io(b.num_warps);
+    ar.io(b.warps_live);
+    ar.io(b.barrier_count);
+    ar.io(b.shared);
+    ar.io(b.regs_reserved);
+    ar.io(b.shared_reserved);
+    ar.io(b.intended_sm);
+    ar.io(b.dispatch_cycle);
   }
 
-  for (const Warp& warp : warps_) {
-    w.putb(warp.active);
+  for (auto& warp : s.warps_) {
+    ar.io(warp.active);
     if (!warp.active) continue;
-    w.put64(warp.age);
-    w.put32(warp.block_slot);
-    w.put32(warp.warp_in_block);
-    w.put32(warp.valid_mask);
-    w.put32(warp.exited);
-    w.put64(warp.stack.size());
-    for (const StackEntry& e : warp.stack) {
-      w.put32(e.pc);
-      w.put32(e.rpc);
-      w.put32(e.mask);
-    }
-    w.put_u32_vec(warp.regs);
-    w.put64(warp.preds.size());
-    w.put_bytes(warp.preds.data(), warp.preds.size());
-    w.putb(warp.at_barrier);
-    w.put64(warp.pending.size());
-    for (const Warp::Pending& p : warp.pending) {
-      w.put16(p.reg);
-      w.putb(p.is_pred);
-      w.put64(p.ready);
-    }
-    w.put64(warp.instructions);
+    ar.io(warp.age);
+    ar.io(warp.block_slot);
+    ar.io(warp.warp_in_block);
+    ar.io(warp.valid_mask);
+    ar.io(warp.exited);
+    ar.io(warp.stack, [](auto& a, auto& e) {
+      a.io(e.pc);
+      a.io(e.rpc);
+      a.io(e.mask);
+    });
+    ar.io(warp.regs);
+    ar.io(warp.preds);
+    ar.io(warp.at_barrier);
+    ar.io(warp.pending, [](auto& a, auto& p) {
+      a.io(p.reg);
+      a.io(p.is_pred);
+      a.io(p.ready);
+    });
+    ar.io(warp.instructions);
   }
 
-  for (u64 c : {blocks_accepted_, blocks_completed_, active_cycles_,
-                instructions_, divergent_branches_, barriers_,
-                smem_accesses_, smem_bank_conflicts_, smem_oob_wraps_,
-                global_atomics_,
-                global_load_transactions_, global_store_transactions_,
-                stall_scoreboard_, stall_barrier_, stall_structural_,
-                issued_attempts_, block_exec_hits_, block_fallback_exits_,
-                cycles_issued_, cycles_stall_scoreboard_,
-                cycles_stall_barrier_, cycles_stall_structural_})
-    w.put64(c);
+  for (const Counter& c : kCounters) ar.io(s.*c.field);
 }
+
+void SmCore::save(ckpt::Writer& w) const { io_state(w, *this); }
 
 void SmCore::restore(
     ckpt::Reader& r,
     const std::function<const KernelLaunch*(u32)>& launch_of) {
-  warps_used_ = r.get32();
-  blocks_used_ = r.get32();
-  regs_used_ = r.get32();
-  shared_used_ = r.get32();
-  sfu_free_ = r.get64();
-  mem_free_ = r.get64();
-  age_counter_ = r.get64();
-  const u64 nsched = r.get64();
-  if (nsched != last_issued_.size())
-    throw ckpt::SnapshotError("snapshot warp-scheduler count mismatch");
-  for (i32& s : last_issued_) s = static_cast<i32>(r.get32());
-  for (std::vector<u32>& order : sched_order_) order = r.get_u32_vec();
-  last_settled_ = r.get64();
-  progress_ = r.getb();
-  quiet_wake_ = r.get64();
-  for (StallRec& rec : warp_stall_) {
-    rec.wake = r.get64();
-    rec.cls = static_cast<IssueOutcome>(r.get8());
-  }
-
+  io_state(r, *this);
+  // Empty slots restore as fresh ones; resident blocks and warps re-derive
+  // their launch, program and compiled trace (the restoring GPU attached
+  // traces to its launches, or left them null in interpreter mode, before
+  // restoring the SMs).
   for (ResidentBlock& b : blocks_) {
-    if (!r.getb()) {
+    if (!b.active)
       b = ResidentBlock{};
-      continue;
-    }
-    b.active = true;
-    b.launch_id = r.get32();
-    b.block_linear = r.get32();
-    b.block_idx.x = r.get32();
-    b.block_idx.y = r.get32();
-    b.block_idx.z = r.get32();
-    b.launch = launch_of(b.launch_id);
-    b.num_warps = r.get32();
-    b.warps_live = r.get32();
-    b.barrier_count = r.get32();
-    b.shared.assign(static_cast<size_t>(r.get64()), 0);
-    r.get_bytes(b.shared.data(), b.shared.size());
-    b.regs_reserved = r.get32();
-    b.shared_reserved = r.get32();
-    b.intended_sm = r.get32();
-    b.dispatch_cycle = r.get64();
+    else
+      b.launch = launch_of(b.launch_id);
   }
-
   for (Warp& warp : warps_) {
-    if (!r.getb()) {
+    if (!warp.active) {
       warp = Warp{};
       continue;
     }
-    warp.active = true;
-    warp.age = r.get64();
-    warp.block_slot = r.get32();
-    warp.warp_in_block = r.get32();
-    warp.prog = blocks_[warp.block_slot].launch->program.get();
-    // Derived state: the restoring GPU attached traces to its launches (or
-    // left them null in interpreter mode) before restoring the SMs.
-    warp.ctrace = blocks_[warp.block_slot].launch->trace.get();
-    warp.valid_mask = r.get32();
-    warp.exited = r.get32();
-    warp.stack.resize(static_cast<size_t>(r.get64()));
-    for (StackEntry& e : warp.stack) {
-      e.pc = r.get32();
-      e.rpc = r.get32();
-      e.mask = r.get32();
-    }
-    warp.regs = r.get_u32_vec();
-    warp.preds.assign(static_cast<size_t>(r.get64()), 0);
-    r.get_bytes(warp.preds.data(), warp.preds.size());
-    warp.at_barrier = r.getb();
-    warp.pending.resize(static_cast<size_t>(r.get64()));
-    for (Warp::Pending& p : warp.pending) {
-      p.reg = r.get16();
-      p.is_pred = r.getb();
-      p.ready = r.get64();
-    }
-    warp.instructions = r.get64();
+    if (warp.block_slot >= blocks_.size() || !blocks_[warp.block_slot].active)
+      throw ckpt::SnapshotError("snapshot warp belongs to no resident block");
+    const KernelLaunch& launch = *blocks_[warp.block_slot].launch;
+    warp.prog = launch.program.get();
+    warp.ctrace = launch.trace.get();
   }
-
-  for (u64* c : {&blocks_accepted_, &blocks_completed_, &active_cycles_,
-                 &instructions_, &divergent_branches_, &barriers_,
-                 &smem_accesses_, &smem_bank_conflicts_, &smem_oob_wraps_,
-                 &global_atomics_,
-                 &global_load_transactions_, &global_store_transactions_,
-                 &stall_scoreboard_, &stall_barrier_, &stall_structural_,
-                 &issued_attempts_, &block_exec_hits_, &block_fallback_exits_,
-                 &cycles_issued_, &cycles_stall_scoreboard_,
-                 &cycles_stall_barrier_, &cycles_stall_structural_})
-    *c = r.get64();
 
   // Open stall episodes describe pre-restore time; drop them rather than
   // emit spans that straddle the restore point.

@@ -209,6 +209,9 @@ class SmCore {
   u32 operand_value(const Warp& w, const isa::Operand& o, u32 lane) const;
   u32 maybe_corrupt(u32 value, Cycle now) const;
 
+  template <class Ar, class S>
+  static void io_state(Ar& ar, S& s);
+
   // Completion path.
   void complete_warp(Warp& w, Cycle now);
   void complete_block(ResidentBlock& b, Cycle now);
@@ -321,6 +324,14 @@ class SmCore {
   u64 cycles_stall_scoreboard_ = 0;
   u64 cycles_stall_barrier_ = 0;
   u64 cycles_stall_structural_ = 0;
+  /// The counters above by StatSet name: the one list that drives save,
+  /// restore and snapshot_stats().
+  struct Counter {
+    const char* name;
+    u64 SmCore::*field;
+    bool always;  // exported even when zero
+  };
+  static const Counter kCounters[];
 
   // Observability tracer (nullptr when tracing is off — the only cost then
   // is one pointer test per hook). Stall spans are emitted as *episodes*:

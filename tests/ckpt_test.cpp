@@ -10,9 +10,11 @@
 // sweep builders reject empty bases loudly.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "ckpt/wire.h"
 #include "common/rng.h"
 #include "exp/campaign.h"
 #include "sched/policies.h"
@@ -364,6 +366,142 @@ TEST(CkptSnapshot, DivergenceNamesTheStore) {
   // Only global-store contents (and the host timeline) changed.
   EXPECT_EQ(ckpt::first_divergence(*a, *b).rfind("store", 0), 0u)
       << ckpt::first_divergence(*a, *b);
+}
+
+// ---- Golden snapshot bytes ------------------------------------------------
+
+TEST(CkptGolden, DeviceSnapshotBytesArePinned) {
+  // Pinned before the per-component state visitors replaced the hand-paired
+  // save()/restore() codecs: a mid-run capture touches every section (SMs
+  // with resident warps, MSHRs in flight, launches, block records, the
+  // kernel scheduler, an armed injector) and its wire frame adds the
+  // program codec. Any change to a snapshot or frame byte changes a hash;
+  // such a change bumps Snapshot::kVersion (or kWireVersion) and re-pins.
+  struct Case {
+    const char* label;
+    ScenarioSpec spec;
+    Cycle target;
+    u64 blob_hash;
+    u64 frame_hash;
+  };
+  ScenarioSpec event = make_spec("bfs", sim::SimEngine::kEvent);
+  event.policy = sched::Policy::kDefault;
+  ScenarioSpec dense = make_spec("bfs", sim::SimEngine::kDense);
+  ScenarioSpec tmr = make_spec("hotspot", sim::SimEngine::kEvent);
+  tmr.policy = sched::Policy::kHalf;
+  tmr.redundancy = core::RedundancySpec::tmr();
+  tmr.fault = FaultPlan::transient_sm(1, 9000, 4000, 5);
+  const Case cases[] = {
+      {"bfs-event", event, 40000, 0x7db169c11c1e94aaull, 0x23ec9dfb1fc79689ull},
+      {"bfs-dense", dense, 40000, 0x8b775a584c4789f2ull, 0xd3142f7e7a5a6b64ull},
+      {"hotspot-tmr-fault", tmr, 11000, 0xf6316977f472f639ull,
+       0x59cd448bf7df3f64ull},
+  };
+  for (const Case& c : cases) {
+    SnapshotIo io;
+    io.capture_targets = {c.target};
+    const ScenarioResult res =
+        exp::run_scenario(c.spec, 0, nullptr, nullptr, &io);
+    ASSERT_TRUE(res.ok) << c.label << ": " << res.error;
+    ASSERT_NE(io.captured[0], nullptr) << c.label;
+    const ckpt::Snapshot& snap = *io.captured[0];
+    const std::vector<u8> frame = ckpt::encode_snapshot(snap);
+    const u64 frame_hash = ckpt::fnv1a(frame.data(), frame.size());
+    char hex[64];
+    std::snprintf(hex, sizeof hex, "0x%016llxull, 0x%016llxull",
+                  static_cast<unsigned long long>(snap.hash()),
+                  static_cast<unsigned long long>(frame_hash));
+    EXPECT_EQ(snap.hash(), c.blob_hash) << c.label << ": got " << hex;
+    EXPECT_EQ(frame_hash, c.frame_hash) << c.label << ": got " << hex;
+    EXPECT_EQ(ckpt::decode_snapshot(frame)->hash(), snap.hash()) << c.label;
+  }
+}
+
+// ---- Crafted lengths -------------------------------------------------------
+
+u64 u64_at(const std::vector<u8>& bytes, size_t at) {
+  u64 v = 0;
+  for (size_t i = 0; i < 8; ++i) v |= static_cast<u64>(bytes[at + i]) << (8 * i);
+  return v;
+}
+
+void set_u64(std::vector<u8>& bytes, size_t at, u64 v) {
+  for (size_t i = 0; i < 8; ++i) bytes[at + i] = static_cast<u8>(v >> (8 * i));
+}
+
+/// `frame` with the u64 at `at` replaced and the trailer re-checksummed, so
+/// the only defect left is the value itself.
+std::vector<u8> with_u64(std::vector<u8> frame, size_t at, u64 v) {
+  set_u64(frame, at, v);
+  const size_t body = frame.size() - 8;
+  set_u64(frame, body, ckpt::fnv1a(frame.data(), body));
+  return frame;
+}
+
+TEST(CkptWire, RejectsOversizedCounts) {
+  // One section and one single-instruction program, so every count in the
+  // frame sits at a fixed offset.
+  ckpt::Snapshot snap;
+  snap.blob = {1, 2, 3, 4};
+  snap.sections.push_back({"s", 0, 4, 0, ckpt::fnv1a(snap.blob.data(), 4)});
+  snap.programs.push_back(std::make_shared<const isa::KernelProgram>(
+      "k", std::vector<isa::Instruction>(1), 1, 0, 0, 0));
+  const std::vector<u8> frame = ckpt::encode_snapshot(snap);
+  ASSERT_NO_THROW(ckpt::decode_snapshot(frame));
+
+  // Header (magic, two versions), then five metadata words.
+  constexpr size_t kSectionCount = 8 + 4 + 4 + 5 * 8;
+  constexpr size_t kSectionName = kSectionCount + 8;
+  // Name "s", then offset, length, record size and hash.
+  constexpr size_t kBlobLen = kSectionName + 8 + 1 + 4 * 8;
+  constexpr size_t kProgramCount = kBlobLen + 8 + 4;
+  constexpr size_t kProgramName = kProgramCount + 8;
+  // Name "k", then register, predicate, shared and parameter sizes.
+  constexpr size_t kCodeCount = kProgramName + 8 + 1 + 2 + 2 + 4 + 4;
+  constexpr u64 kHuge = u64{1} << 40;
+  const struct {
+    const char* what;
+    size_t at;
+    u64 stored;
+    u64 crafted;
+  } cases[] = {
+      {"section count", kSectionCount, 1, kHuge},
+      {"blob length", kBlobLen, 4, kHuge},
+      {"program count", kProgramCount, 1, kHuge},
+      {"instruction count", kCodeCount, 1, kHuge},
+      {"section name length", kSectionName, 1, ~u64{0}},
+      {"program name length", kProgramName, 1, ~u64{0}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    ASSERT_EQ(u64_at(frame, c.at), c.stored);  // the offset is the count's
+    EXPECT_THROW(ckpt::decode_snapshot(with_u64(frame, c.at, c.crafted)),
+                 ckpt::SnapshotError);
+  }
+
+  // Counts inside a device snapshot's blob: the event-engine wake table
+  // (after the gpu section's 42 bytes of clock and engine state) and the
+  // global-store image (after the store's 4-byte allocator cursor).
+  runtime::Device dev;
+  dev.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+  const ckpt::SnapshotPtr base = dev.snapshot();
+  const u64 store_bytes = base->find_section("store")->len - 4 - 8;
+  const struct {
+    const char* section;
+    size_t at;
+    u64 stored;
+  } blob_cases[] = {{"gpu", 42, sim::GpuParams{}.num_sms},
+                    {"store", 4, store_bytes}};
+  for (const auto& c : blob_cases) {
+    SCOPED_TRACE(c.section);
+    ckpt::Snapshot crafted = *base;
+    const ckpt::Section& s = *crafted.find_section(c.section);
+    ASSERT_EQ(u64_at(crafted.blob, s.offset + c.at), c.stored);
+    set_u64(crafted.blob, s.offset + c.at, kHuge);
+    runtime::Device dev2;
+    dev2.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
+    EXPECT_THROW(dev2.restore(crafted), ckpt::SnapshotError);
+  }
 }
 
 // ---- Policy / label / sweep validation ------------------------------------

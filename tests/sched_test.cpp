@@ -294,6 +294,9 @@ TEST(Edf, StateSurvivesCheckpointRoundtrip) {
   ckpt::Writer w;
   a.save_state(w);
   const std::vector<u8> blob = w.blob();
+  // Pinned before the scheduler codecs moved onto the shared state
+  // visitor: the deadline count is stored as 32 bits.
+  EXPECT_EQ(ckpt::fnv1a(blob.data(), blob.size()), 0x51798ba7a4f09a2cull);
   const std::vector<ckpt::Section> sections;  // raw stream, no sections
   ckpt::Reader r(blob, sections);
   EdfKernelScheduler b;
