@@ -1,6 +1,11 @@
 // Checkpoint subsystem benchmark: BENCH_ckpt.json.
 //
-// Two measurements, matching the two consumers of src/ckpt:
+// The host cost of one capture, then two measurements matching the two
+// consumers of src/ckpt:
+//
+//  0. Capture throughput — ms per Device::snapshot() and MB/s of blob for a
+//     device holding a 4 MiB global store: the median of repeated captures
+//     over at least 200 ms. Reported, not gated.
 //
 //  1. Campaign fast-forward — a fault sweep over injection times on an
 //     otherwise identical scenario, run from scratch vs with
@@ -14,11 +19,14 @@
 //     whole offload: re-upload inputs, relaunch, resimulate). The paper's
 //     FTTI argument wants the response time, so that is what we compare:
 //     rollback must beat retry on response_ns at equal fault plans.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/rng.h"
 #include "common/table.h"
 
 namespace {
@@ -59,12 +67,54 @@ FaultPlan detected_plan(const std::string& workload, Cycle span,
   return candidates.back();
 }
 
+/// Median host time of Device::snapshot() on a device holding a 4 MiB store
+/// of random bytes, over at least 200 ms of captures after one warm-up.
+void capture_throughput(JsonWriter& jw) {
+  using Clock = std::chrono::steady_clock;
+  constexpr u64 kStoreBytes = 4ull << 20;
+  runtime::Device dev;
+  std::vector<u8> fill(kStoreBytes);
+  Rng rng(2019);
+  for (u8& b : fill) b = static_cast<u8>(rng.next_u32());
+  dev.memcpy_h2d(dev.malloc(kStoreBytes), fill.data(), kStoreBytes);
+
+  ckpt::SnapshotPtr snap = dev.snapshot();
+  std::vector<double> sec;
+  const Clock::time_point start = Clock::now();
+  while (sec.size() < 5 ||
+         std::chrono::duration<double>(Clock::now() - start).count() < 0.2) {
+    const Clock::time_point t0 = Clock::now();
+    snap = dev.snapshot();
+    sec.push_back(std::chrono::duration<double>(Clock::now() - t0).count());
+  }
+  std::sort(sec.begin(), sec.end());
+  const double median = sec[sec.size() / 2];
+  const double mb = static_cast<double>(snap->size_bytes()) / 1e6;
+  const double mb_per_s = mb / median;
+  std::printf(
+      "capture: %.2f MB blob, %.3f ms per snapshot (median of %zu), "
+      "%.0f MB/s\n",
+      mb, median * 1e3, sec.size(), mb_per_s);
+
+  jw.key("capture");
+  jw.begin_object();
+  jw.field("store_bytes", kStoreBytes);
+  jw.field("blob_bytes", snap->size_bytes());
+  jw.field("captures", static_cast<u64>(sec.size()));
+  jw.field("ms_per_snapshot_p50", median * 1e3);
+  jw.field("mb_per_s", mb_per_s);
+  jw.end_object();
+}
+
 }  // namespace
 
 int main() {
   JsonWriter jw;
   jw.begin_object();
   jw.field("schema", std::string("higpu.bench.ckpt/1"));
+
+  // ---- 0. Capture throughput ---------------------------------------------
+  capture_throughput(jw);
 
   // ---- 1. Campaign fast-forward ------------------------------------------
   {

@@ -1,5 +1,6 @@
 #include "ckpt/serial.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace higpu::ckpt {
@@ -13,11 +14,71 @@ u64 fnv1a(const u8* data, size_t len, u64 seed) {
   return h;
 }
 
+namespace {
+
+// Odd multipliers (the xxHash64 primes), so multiplying is a bijection.
+constexpr u64 kP1 = 0x9E3779B185EBCA87ull;
+constexpr u64 kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr u64 kP3 = 0x165667B19E3779F9ull;
+
+u64 word_at(const u8* p) {
+  u64 w;
+  std::memcpy(&w, p, 8);
+  return w;
+}
+
+/// `v` after absorbing `w`: a bijection of `v` for a fixed `w`, and
+/// injective in `w` for a fixed `v` (add, rotate and odd multiply).
+u64 absorb(u64 v, u64 w) { return std::rotl(v + w * kP2, 31) * kP1; }
+
+}  // namespace
+
+u64 seal(const u8* data, size_t len) {
+  u64 lane[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  const u8* p = data;
+  const u8* const end = data + len;
+  for (; end - p >= 32; p += 32)
+    for (int i = 0; i < 4; ++i) lane[i] = absorb(lane[i], word_at(p + 8 * i));
+  u64 h = kP3;
+  for (const u64 v : lane) h = absorb(h, v);
+  for (; end - p >= 8; p += 8) h = absorb(h, word_at(p));
+  if (p != end) {
+    u64 tail = 0;
+    std::memcpy(&tail, p, static_cast<size_t>(end - p));
+    h = absorb(h, tail);
+  }
+  h ^= len;
+  // Final avalanche: xor-shifts and odd multiplies, each invertible.
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
+
+void Writer::grow(size_t n) {
+  // Capacity doubles; the room is zero-filled at most 64 KiB ahead of the
+  // writes, so capacity never written to is never touched either (it costs
+  // no resident memory) and the fill is still in cache when it is written.
+  constexpr size_t kRoomStep = 64 << 10;
+  if (size_ + n > blob_.capacity())
+    blob_.reserve(std::max({size_ + n, 2 * blob_.capacity(), size_t{256}}));
+  blob_.resize(std::min(blob_.capacity(), size_ + std::max(n, kRoomStep)));
+}
+
+void Writer::append(const void* p, size_t n) {
+  const u8* b = static_cast<const u8*>(p);
+  blob_.resize(size_);
+  blob_.insert(blob_.end(), b, b + n);
+  size_ += n;
+}
+
 void Writer::begin_section(std::string name, u64 record_size) {
   assert(!section_open_ && "nested snapshot sections are not supported");
   section_open_ = true;
   open_name_ = std::move(name);
-  open_offset_ = blob_.size();
+  open_offset_ = size_;
   open_record_size_ = record_size;
 }
 
@@ -27,9 +88,9 @@ void Writer::end_section() {
   Section s;
   s.name = std::move(open_name_);
   s.offset = open_offset_;
-  s.len = blob_.size() - open_offset_;
+  s.len = size_ - open_offset_;
   s.record_size = open_record_size_;
-  s.hash = fnv1a(blob_.data() + s.offset, s.len);
+  s.hash = seal(blob_.data() + s.offset, s.len);
   sections_.push_back(std::move(s));
 }
 

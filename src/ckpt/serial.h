@@ -5,7 +5,9 @@
 // same order. Field-by-field serialization (never memcpy of whole structs)
 // keeps the format independent of struct padding, so two snapshots of
 // identical device state are byte-identical — which is what makes hash()
-// comparisons and the per-section divergence diff meaningful.
+// comparisons and the per-section divergence diff meaningful. Each field is
+// one store into room the Writer has already reserved (one load on the
+// Reader side), and a scalar vector is one bulk copy.
 //
 // Both archives share one field interface, so each snapshotted component
 // lists its state once, in a template visitor that save and restore both
@@ -37,11 +39,12 @@
 // instead of corrupting simulator state or attempting a huge allocation.
 //
 // The section table doubles as the diagnosis index: every section records
-// its byte range and hash, and an optional fixed record size (e.g. one L1
+// its byte range and seal, and an optional fixed record size (e.g. one L1
 // set, one DRAM bank) that lets ckpt::first_divergence translate a byte
 // offset into an architectural component name.
 #pragma once
 
+#include <bit>
 #include <cstring>
 #include <map>
 #include <stdexcept>
@@ -54,8 +57,24 @@
 
 namespace higpu::ckpt {
 
-/// FNV-1a over a byte range; the snapshot/section hash function.
+// Fields, scalar vectors and seal words are copied to and from memory as
+// they lie there, which is their little-endian stored form only on a
+// little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot byte layout assumes a little-endian host");
+
+/// FNV-1a over a byte range: Snapshot::hash() and the other pinned state
+/// fingerprints.
 u64 fnv1a(const u8* data, size_t len, u64 seed = 0xcbf29ce484222325ull);
+
+/// Integrity seal of a byte range: the section hash and the wire frame
+/// checksum. Four independent lanes absorb the little-endian 64-bit words of
+/// each 32-byte stripe; the lanes are then folded into one accumulator,
+/// which absorbs the remaining words, the tail bytes and the length before a
+/// final mix. Every step is a bijection of the state and injective in the
+/// word it absorbs, so two equal-length ranges that differ in one word —
+/// hence any change to a single byte — always seal differently.
+u64 seal(const u8* data, size_t len);
 
 /// One named contiguous range of the snapshot blob.
 struct Section {
@@ -64,7 +83,7 @@ struct Section {
   size_t len = 0;
   /// Fixed payload record size for component-index diagnosis (0 = opaque).
   u64 record_size = 0;
-  u64 hash = 0;
+  u64 hash = 0;  // seal() of the range
 };
 
 /// Integers, bools and enums: stored little-endian at sizeof(T) bytes
@@ -88,9 +107,20 @@ class Writer {
  public:
   static constexpr bool kReading = false;
 
-  void put8(u8 v) { blob_.push_back(v); }
-  void put32(u32 v) { putle(v, 4); }
-  void put64(u64 v) { putle(v, 8); }
+  Writer() = default;
+  /// Reserve capacity for `expect_bytes` up front (e.g. the size of the
+  /// previous capture of the same device), so the blob is not regrown while
+  /// written. Rounded up to a power of two, as doubling would: blobs of
+  /// similar size then share one allocation size and reuse each other's
+  /// freed blocks (exact-size reservations fragmented the heap and raised
+  /// the peak RSS of an interval-checkpointed serve run by a third).
+  explicit Writer(size_t expect_bytes) {
+    blob_.reserve(std::bit_ceil(expect_bytes));
+  }
+
+  void put8(u8 v) { putle<1>(v); }
+  void put32(u32 v) { putle<4>(v); }
+  void put64(u64 v) { putle<8>(v); }
   void putf64(double v) {
     u64 bits;
     std::memcpy(&bits, &v, 8);
@@ -99,8 +129,8 @@ class Writer {
   void putb(bool v) { put8(v ? 1 : 0); }
   void put_bytes(const void* p, size_t n) {
     if (n == 0) return;
-    const u8* b = static_cast<const u8*>(p);
-    blob_.insert(blob_.end(), b, b + n);
+    if (n > blob_.size() - size_) return append(p, n);
+    std::memcpy(room(n), p, n);
   }
   void put_string(const std::string& s) {
     put64(s.size());
@@ -110,21 +140,24 @@ class Writer {
   // ---- Shared field interface (mirrored by Reader) ------------------------
   template <Scalar T>
   void io(const T& v) {
-    putle(static_cast<u64>(v), sizeof(T));
+    putle<sizeof(T)>(static_cast<u64>(v));
   }
   template <class W, class T>
   void io(As<W, T> f) {
-    putle(static_cast<u64>(static_cast<W>(f.v)), sizeof(W));
+    putle<sizeof(W)>(static_cast<u64>(static_cast<W>(f.v)));
   }
   void io(const std::string& s) { put_string(s); }
-  /// u64 element count, then the elements (bytes copied in bulk).
+  /// u64 element count, then the elements, copied in bulk (std::vector<bool>
+  /// packs its bits, so its elements are stored one byte each).
   template <Scalar T>
   void io(const std::vector<T>& v) {
     put64(v.size());
-    if constexpr (sizeof(T) == 1 && !std::is_same_v<T, bool>)
-      put_bytes(v.data(), v.size());
-    else
-      for (const T& x : v) io(x);
+    if constexpr (std::is_same_v<T, bool>) {
+      u8* p = room(v.size());
+      for (const bool b : v) *p++ = b ? 1 : 0;
+    } else {
+      put_bytes(v.data(), v.size() * sizeof(T));
+    }
   }
   /// u64 element count, then `each(*this, element)` per element.
   template <class T, class F>
@@ -153,16 +186,43 @@ class Writer {
   void begin_section(std::string name, u64 record_size = 0);
   void end_section();
 
-  const std::vector<u8>& blob() const { return blob_; }
-  std::vector<u8> take_blob() { return std::move(blob_); }
+  /// The bytes written so far (the reserved room is trimmed off; writing
+  /// on afterwards is allowed).
+  const std::vector<u8>& blob() {
+    blob_.resize(size_);
+    return blob_;
+  }
+  std::vector<u8> take_blob() {
+    blob_.resize(size_);
+    size_ = 0;
+    return std::move(blob_);
+  }
   std::vector<Section> take_sections() { return std::move(sections_); }
 
  private:
-  void putle(u64 v, int n) {
-    for (int i = 0; i < n; ++i) blob_.push_back(static_cast<u8>(v >> (8 * i)));
+  /// The next `n` bytes of the blob, to be written by the caller.
+  u8* room(size_t n) {
+    if (n > blob_.size() - size_) grow(n);
+    u8* p = blob_.data() + size_;
+    size_ += n;
+    return p;
+  }
+  /// Extend the room to fit `n` more bytes. Out of line, so the per-field
+  /// stores stay small enough to inline.
+  void grow(size_t n);
+  /// Copy `n` bytes that do not fit the room to the end of the blob, without
+  /// zero-filling room for them first.
+  void append(const void* p, size_t n);
+  /// The low `N` bytes of `v`, little-endian.
+  template <size_t N>
+  void putle(u64 v) {
+    std::memcpy(room(N), &v, N);
   }
 
+  // Bytes [0, size_) are written; the rest of blob_ is room, zero-filled
+  // ahead of the writes.
   std::vector<u8> blob_;
+  size_t size_ = 0;
   std::vector<Section> sections_;
   size_t open_offset_ = 0;
   bool section_open_ = false;
@@ -207,9 +267,9 @@ class Reader {
         pos_(blob.data()),
         end_(blob.data() + blob.size()) {}
 
-  u8 get8() { return static_cast<u8>(getle(1)); }
-  u32 get32() { return static_cast<u32>(getle(4)); }
-  u64 get64() { return getle(8); }
+  u8 get8() { return static_cast<u8>(getle<1>()); }
+  u32 get32() { return static_cast<u32>(getle<4>()); }
+  u64 get64() { return getle<8>(); }
   double getf64() {
     const u64 bits = get64();
     double v;
@@ -232,11 +292,11 @@ class Reader {
   // ---- Shared field interface (mirrors Writer) ----------------------------
   template <Scalar T>
   void io(T& v) {
-    v = from_raw<T>(getle(sizeof(T)));
+    v = from_raw<T>(getle<sizeof(T)>());
   }
   template <class W, class T>
   void io(As<W, T> f) {
-    const u64 raw = getle(sizeof(W));
+    const u64 raw = getle<sizeof(W)>();
     f.v = from_raw<T>(raw);
     if (static_cast<W>(f.v) != static_cast<W>(raw))
       fail("snapshot field value out of range");
@@ -248,10 +308,10 @@ class Reader {
   template <Scalar T>
   void io(std::vector<T>& v) {
     v.resize(get_count<sizeof(T)>());
-    if constexpr (sizeof(T) == 1 && !std::is_same_v<T, bool>)
-      get_bytes(v.data(), v.size());
+    if constexpr (std::is_same_v<T, bool>)
+      for (size_t i = 0; i < v.size(); ++i) v[i] = getb();
     else
-      for (T& x : v) io(x);
+      get_bytes(v.data(), v.size() * sizeof(T));
   }
   /// Every element occupies at least one byte, which bounds the count.
   template <class T, class F>
@@ -299,12 +359,13 @@ class Reader {
     else
       return static_cast<T>(raw);
   }
-  u64 getle(int n) {
-    need(static_cast<size_t>(n));
+  /// `N` little-endian bytes, zero-extended.
+  template <size_t N>
+  u64 getle() {
+    need(N);
     u64 v = 0;
-    for (int i = 0; i < n; ++i)
-      v |= static_cast<u64>(pos_[i]) << (8 * i);
-    pos_ += n;
+    std::memcpy(&v, pos_, N);
+    pos_ += N;
     return v;
   }
   /// Throws SnapshotError(`what` at the cursor). Out of line, so the

@@ -91,24 +91,39 @@ std::vector<u8> encode_snapshot(const Snapshot& snap) {
   w.put32(Snapshot::kVersion);
   io_body(w, snap);
 
-  // Trailing checksum over everything framed so far: a truncated or
+  // Trailing seal over everything framed so far: a truncated or
   // bit-flipped stream fails before any of it is interpreted as state.
-  std::vector<u8> out = w.take_blob();
-  const u64 checksum = fnv1a(out.data(), out.size());
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<u8>(checksum >> (8 * i)));
-  return out;
+  const std::vector<u8>& body = w.blob();
+  w.put64(seal(body.data(), body.size()));
+  return w.take_blob();
 }
 
 SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
   if (bytes.size() < 8 + 8)
     throw SnapshotError("snapshot frame truncated: " +
                         std::to_string(bytes.size()) + " bytes");
+
+  // The frame body is one section of the stream, so no read reaches into
+  // the trailer and every body byte must be consumed.
+  const std::vector<Section> frame{{"frame", 0, bytes.size() - 8, 0, 0}};
+  Reader r(bytes, frame);
+  r.begin_section("frame");
+
+  // Magic and frame version come before the trailer check: a frame of
+  // another version has another trailer (v1: FNV-1a), and is refused by
+  // its version rather than as a checksum mismatch.
+  if (r.get64() != kWireMagic)
+    throw SnapshotError("not a framed snapshot (bad wire magic)");
+  const u32 wire_version = r.get32();
+  if (wire_version != kWireVersion)
+    throw SnapshotError("snapshot frame v" + std::to_string(wire_version) +
+                        " != supported v" + std::to_string(kWireVersion));
+
   u64 stored = 0;
   for (int i = 0; i < 8; ++i)
     stored |= static_cast<u64>(bytes[bytes.size() - 8 + static_cast<size_t>(i)])
               << (8 * i);
-  const u64 actual = fnv1a(bytes.data(), bytes.size() - 8);
+  const u64 actual = seal(bytes.data(), bytes.size() - 8);
   if (stored != actual) {
     char buf[96];
     std::snprintf(buf, sizeof(buf),
@@ -119,18 +134,6 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
     throw SnapshotError(buf);
   }
 
-  // The frame body is one section of the stream, so no read reaches into
-  // the trailer and every body byte must be consumed.
-  const std::vector<Section> frame{{"frame", 0, bytes.size() - 8, 0, 0}};
-  Reader r(bytes, frame);
-  r.begin_section("frame");
-
-  if (r.get64() != kWireMagic)
-    throw SnapshotError("not a framed snapshot (bad wire magic)");
-  const u32 wire_version = r.get32();
-  if (wire_version != kWireVersion)
-    throw SnapshotError("snapshot frame v" + std::to_string(wire_version) +
-                        " != supported v" + std::to_string(kWireVersion));
   const u32 snap_version = r.get32();
   if (snap_version != Snapshot::kVersion)
     throw SnapshotError("snapshot format v" + std::to_string(snap_version) +
@@ -141,7 +144,7 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
   io_body(r, *snap);
   r.end_section();
 
-  // Per-section integrity: recompute each section's hash over the received
+  // Per-section integrity: recompute each section's seal over the received
   // blob. The frame checksum already rules out transport corruption; this
   // catches a frame assembled from a blob that was corrupted *before*
   // encoding, and names the damaged component either way.
@@ -150,7 +153,7 @@ SnapshotPtr decode_snapshot(const std::vector<u8>& bytes) {
     if (s.offset > blob_len || s.len > blob_len - s.offset)
       throw SnapshotError("snapshot section '" + s.name +
                           "' extends past the end of the blob");
-    if (fnv1a(snap->blob.data() + s.offset, s.len) != s.hash)
+    if (seal(snap->blob.data() + s.offset, s.len) != s.hash)
       throw SnapshotError("snapshot section '" + s.name +
                           "' corrupted in transit (stored hash does not "
                           "match its contents)");

@@ -249,7 +249,7 @@ ckpt::SnapshotPtr Device::snapshot() { return capture(gpu_->now()); }
 ckpt::SnapshotPtr Device::capture(Cycle nominal) {
   const auto wall0 = std::chrono::steady_clock::now();
   auto snap = std::make_shared<ckpt::Snapshot>();
-  ckpt::Writer w;
+  ckpt::Writer w(last_snapshot_bytes_);
   const Meta meta{ckpt::Snapshot::kMagic, ckpt::Snapshot::kVersion,
                   params_fingerprint()};
   io_meta(w, meta);
@@ -266,6 +266,7 @@ ckpt::SnapshotPtr Device::capture(Cycle nominal) {
   });
 
   snap->blob = w.take_blob();
+  last_snapshot_bytes_ = snap->blob.size();
   snap->sections = w.take_sections();
   snap->cycle = gpu_->now();
   snap->sync_seq = sync_seq_;

@@ -212,6 +212,8 @@ class Device {
   double sim_wall_sec_ = 0.0;
   double snapshot_wall_sec_ = 0.0;
   double restore_wall_sec_ = 0.0;
+  // Blob size of the last capture: the next capture's Writer reserves it.
+  size_t last_snapshot_bytes_ = 0;
 
   obs::Tracer* obs_ = nullptr;
   u32 obs_ckpt_track_ = 0;

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ckpt/wire.h"
@@ -377,6 +378,8 @@ TEST(CkptGolden, DeviceSnapshotBytesArePinned) {
   // kernel scheduler, an armed injector) and its wire frame adds the
   // program codec. Any change to a snapshot or frame byte changes a hash;
   // such a change bumps Snapshot::kVersion (or kWireVersion) and re-pins.
+  // The frame hashes were re-pinned at kWireVersion 2, whose section seals
+  // and trailer are ckpt::seal; the blob hashes are unchanged.
   struct Case {
     const char* label;
     ScenarioSpec spec;
@@ -392,10 +395,10 @@ TEST(CkptGolden, DeviceSnapshotBytesArePinned) {
   tmr.redundancy = core::RedundancySpec::tmr();
   tmr.fault = FaultPlan::transient_sm(1, 9000, 4000, 5);
   const Case cases[] = {
-      {"bfs-event", event, 40000, 0x7db169c11c1e94aaull, 0x23ec9dfb1fc79689ull},
-      {"bfs-dense", dense, 40000, 0x8b775a584c4789f2ull, 0xd3142f7e7a5a6b64ull},
+      {"bfs-event", event, 40000, 0x7db169c11c1e94aaull, 0x8037a429fcbff060ull},
+      {"bfs-dense", dense, 40000, 0x8b775a584c4789f2ull, 0xf163b25a65bff522ull},
       {"hotspot-tmr-fault", tmr, 11000, 0xf6316977f472f639ull,
-       0x59cd448bf7df3f64ull},
+       0x99f334c1c14fbd3bull},
   };
   for (const Case& c : cases) {
     SnapshotIo io;
@@ -429,24 +432,28 @@ void set_u64(std::vector<u8>& bytes, size_t at, u64 v) {
   for (size_t i = 0; i < 8; ++i) bytes[at + i] = static_cast<u8>(v >> (8 * i));
 }
 
-/// `frame` with the u64 at `at` replaced and the trailer re-checksummed, so
-/// the only defect left is the value itself.
+/// `frame` with the u64 at `at` replaced and the trailer re-sealed, so the
+/// only defect left is the value itself.
 std::vector<u8> with_u64(std::vector<u8> frame, size_t at, u64 v) {
   set_u64(frame, at, v);
   const size_t body = frame.size() - 8;
-  set_u64(frame, body, ckpt::fnv1a(frame.data(), body));
+  set_u64(frame, body, ckpt::seal(frame.data(), body));
   return frame;
 }
 
-TEST(CkptWire, RejectsOversizedCounts) {
-  // One section and one single-instruction program, so every count in the
-  // frame sits at a fixed offset.
+/// One section and one single-instruction program, so every count in its
+/// frame sits at a fixed offset.
+ckpt::Snapshot tiny_snapshot() {
   ckpt::Snapshot snap;
   snap.blob = {1, 2, 3, 4};
-  snap.sections.push_back({"s", 0, 4, 0, ckpt::fnv1a(snap.blob.data(), 4)});
+  snap.sections.push_back({"s", 0, 4, 0, ckpt::seal(snap.blob.data(), 4)});
   snap.programs.push_back(std::make_shared<const isa::KernelProgram>(
       "k", std::vector<isa::Instruction>(1), 1, 0, 0, 0));
-  const std::vector<u8> frame = ckpt::encode_snapshot(snap);
+  return snap;
+}
+
+TEST(CkptWire, RejectsOversizedCounts) {
+  const std::vector<u8> frame = ckpt::encode_snapshot(tiny_snapshot());
   ASSERT_NO_THROW(ckpt::decode_snapshot(frame));
 
   // Header (magic, two versions), then five metadata words.
@@ -502,6 +509,184 @@ TEST(CkptWire, RejectsOversizedCounts) {
     dev2.set_kernel_scheduler(sched::make_scheduler(sched::Policy::kSrrs));
     EXPECT_THROW(dev2.restore(crafted), ckpt::SnapshotError);
   }
+}
+
+TEST(SnapshotWire, RefusesPreviousWireVersion) {
+  // A v1 frame: FNV-1a section hashes and an FNV-1a trailer. Its version is
+  // read before its trailer, so the refusal names both versions instead of
+  // reporting a checksum mismatch.
+  ckpt::Snapshot snap = tiny_snapshot();
+  snap.sections[0].hash = ckpt::fnv1a(snap.blob.data(), snap.blob.size());
+  std::vector<u8> frame = ckpt::encode_snapshot(snap);
+  constexpr size_t kVersionAt = 8;
+  ASSERT_EQ(frame[kVersionAt], ckpt::kWireVersion);
+  frame[kVersionAt] = 1;
+  const size_t body = frame.size() - 8;
+  set_u64(frame, body, ckpt::fnv1a(frame.data(), body));
+  try {
+    ckpt::decode_snapshot(frame);
+    FAIL() << "a v1 frame was accepted";
+  } catch (const ckpt::SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("v" + std::to_string(ckpt::kWireVersion)),
+              std::string::npos)
+        << what;
+  }
+}
+
+// ---- Section seal ----------------------------------------------------------
+
+TEST(CkptSeal, DetectsEverySingleByteFlip) {
+  // Every xor pattern at every position of every length up to 97: all
+  // tail lengths, the whole-word steps and three 32-byte stripes.
+  Rng rng(2019);
+  u64 missed = 0;
+  std::string first_miss;
+  auto check = [&](std::vector<u8>& buf, size_t at, u8 x, u64 clean) {
+    buf[at] ^= x;
+    if (ckpt::seal(buf.data(), buf.size()) == clean && missed++ == 0)
+      first_miss = "len " + std::to_string(buf.size()) + " byte " +
+                   std::to_string(at) + " xor " + std::to_string(x);
+    buf[at] ^= x;
+  };
+  for (size_t len = 0; len <= 97; ++len) {
+    std::vector<u8> buf(len);
+    for (u8& b : buf) b = static_cast<u8>(rng.next_below(256));
+    const u64 clean = ckpt::seal(buf.data(), len);
+    for (size_t at = 0; at < len; ++at)
+      for (u32 x = 1; x < 256; ++x) check(buf, at, static_cast<u8>(x), clean);
+  }
+  // 64 KiB: every byte flipped with one pattern (cycling through all 255),
+  // and every pattern in the first and the last stripe.
+  std::vector<u8> big(64 << 10);
+  for (u8& b : big) b = static_cast<u8>(rng.next_below(256));
+  const u64 clean = ckpt::seal(big.data(), big.size());
+  for (size_t at = 0; at < big.size(); ++at)
+    check(big, at, static_cast<u8>(1 + at % 255), clean);
+  for (size_t i = 0; i < 32; ++i)
+    for (u32 x = 1; x < 256; ++x) {
+      check(big, i, static_cast<u8>(x), clean);
+      check(big, big.size() - 1 - i, static_cast<u8>(x), clean);
+    }
+  EXPECT_EQ(missed, 0u) << "first undetected flip: " << first_miss;
+}
+
+TEST(CkptSeal, ValueIsPinned) {
+  // 109 bytes: three stripes, one whole word and a 5-byte tail. The seal is
+  // part of the frame format; changing it bumps kWireVersion.
+  const std::string text =
+      "higpu.snap/2 seals each section word by word; Snapshot::hash() "
+      "stays FNV-1a over the blob, as its goldens pin";
+  ASSERT_EQ(text.size(), 109u);
+  const u8* bytes = reinterpret_cast<const u8*>(text.data());
+  EXPECT_EQ(ckpt::seal(bytes, text.size()), 0x0b02568ded08bd1eull);
+  EXPECT_EQ(ckpt::seal(nullptr, 0), 0x878d0dfbf1b6679aull);
+}
+
+// ---- Writer layout ---------------------------------------------------------
+
+enum class Lane : u16 { kLow = 3, kWide = 0x0a0b };
+
+struct Rec {
+  u32 id = 0;
+  bool flag = false;
+  bool operator==(const Rec&) const = default;
+};
+
+/// Every field kind once, in a section, through the shared visitor.
+template <class Ar, class S>
+void io_layout(Ar& ar, S& s) {
+  ar.begin_section("layout");
+  ar.io(std::get<0>(s));
+  ar.io(std::get<1>(s));
+  ar.io(std::get<2>(s));
+  ar.io(std::get<3>(s));
+  ar.io(std::get<4>(s));
+  ar.io(std::get<5>(s));
+  ar.io(std::get<6>(s));
+  ar.io(ckpt::as<u8>(std::get<7>(s)));
+  ar.io(ckpt::as<u64>(std::get<8>(s)));
+  ar.io(std::get<9>(s));
+  ar.io(std::get<10>(s));
+  ar.io(std::get<11>(s));
+  ar.io(std::get<12>(s));
+  ar.io(std::get<13>(s));
+  ar.io(std::get<14>(s));
+  ar.io(std::get<15>(s));
+  ar.io(std::get<16>(s));
+  ar.io(std::get<17>(s), [](auto& a, auto& r) {
+    a.io(r.id);
+    a.io(r.flag);
+  });
+  ar.end_section();
+}
+
+using Layout =
+    std::tuple<u8, u16, u32, u64, i32, bool, Lane, Lane, u32, std::vector<u8>,
+               std::vector<u16>, std::vector<u32>, std::vector<u64>,
+               std::vector<bool>, std::vector<Lane>, std::vector<u32>,
+               std::string, std::vector<Rec>>;
+
+TEST(CkptWriter, BytesMatchReferenceLayout) {
+  // The documented layout: scalars little-endian at their own width (or at
+  // the as<W> width), vectors and strings as a u64 count then the elements,
+  // bools one byte.
+  const Layout in{0x12,
+                  0x3456,
+                  0x789abcde,
+                  0x0102030405060708ull,
+                  -2,
+                  true,
+                  Lane::kWide,
+                  Lane::kLow,
+                  0xdeadbeef,
+                  {1, 2, 3},
+                  {0x0102, 0xfffe},
+                  {0x01020304},
+                  {0x1122334455667788ull, 1},
+                  {true, false, true},
+                  {Lane::kWide},
+                  {},
+                  "hi",
+                  {{5, true}, {6, false}}};
+  const std::vector<u8> expected = {
+      0x12,                                            // u8
+      0x56, 0x34,                                      // u16
+      0xde, 0xbc, 0x9a, 0x78,                          // u32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64
+      0xfe, 0xff, 0xff, 0xff,                          // i32 -2
+      0x01,                                            // bool
+      0x0b, 0x0a,                                      // u16 enum
+      0x03,                                            // as<u8>(enum)
+      0xef, 0xbe, 0xad, 0xde, 0, 0, 0, 0,              // as<u64>(u32)
+      3, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3,                 // vector<u8>
+      2, 0, 0, 0, 0, 0, 0, 0, 0x02, 0x01, 0xfe, 0xff,  // vector<u16>
+      1, 0, 0, 0, 0, 0, 0, 0, 0x04, 0x03, 0x02, 0x01,  // vector<u32>
+      2, 0, 0, 0, 0, 0, 0, 0,                          // vector<u64>
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  //
+      1, 0, 0, 0, 0, 0, 0, 0,                          //
+      3, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1,                 // vector<bool>
+      1, 0, 0, 0, 0, 0, 0, 0, 0x0b, 0x0a,              // vector<enum>
+      0, 0, 0, 0, 0, 0, 0, 0,                          // empty vector
+      2, 0, 0, 0, 0, 0, 0, 0, 'h', 'i',                // string
+      2, 0, 0, 0, 0, 0, 0, 0,                          // record vector
+      5, 0, 0, 0, 1,                                   //
+      6, 0, 0, 0, 0,                                   //
+  };
+  ckpt::Writer w(8);  // too small: the writer grows while writing
+  io_layout(w, in);
+  EXPECT_EQ(w.blob(), expected);
+  const std::vector<ckpt::Section> sections = w.take_sections();
+  ASSERT_EQ(sections.size(), 1u);
+  EXPECT_EQ(sections[0].len, expected.size());
+  EXPECT_EQ(sections[0].hash, ckpt::seal(expected.data(), expected.size()));
+
+  // The Reader mirrors it and consumes the section exactly.
+  ckpt::Reader r(expected, sections);
+  Layout out;
+  io_layout(r, out);
+  EXPECT_TRUE(out == in);
 }
 
 // ---- Policy / label / sweep validation ------------------------------------
